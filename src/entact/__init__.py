@@ -15,10 +15,8 @@ from .analysis import (
     SpecificationBehavior,
     any_two_activation_requirement,
     classify_groupings,
-    distillable_between_groups,
     distillation_witness,
     example_vii_requirement,
-    ghz_groups,
     grouping_report,
     iter_set_partitions,
     necessary_distillable,
@@ -50,7 +48,6 @@ from .protocols import (
     PipelineStep,
     PipelineTrace,
     amplify,
-    auto_join_weights,
     distill_pipeline,
     join_povm,
     measure_out_party,
@@ -78,16 +75,13 @@ __all__ = [
     "Splitting",
     "amplify",
     "any_two_activation_requirement",
-    "auto_join_weights",
     "classify_groupings",
     "distill_pipeline",
-    "distillable_between_groups",
     "distillation_witness",
     "example_pattern",
     "example_state",
     "example_vii_requirement",
     "from_specification",
-    "ghz_groups",
     "grouping_report",
     "iter_set_partitions",
     "join_povm",

@@ -16,7 +16,6 @@ from .model import (
     Grouping,
     Specification,
     Splitting,
-    _separating_masks,
     party_bitmask,
 )
 
@@ -28,23 +27,33 @@ def _verdict(
     cmask: int,
     dmask: int,
 ) -> tuple[bool, int | None]:
-    """Core decision; returns (ok, lowest blocking label or None)."""
-    full = (1 << n) - 1
-    for m in _separating_masks(n, cmask, dmask):
-        if indicator[m - 1]:
-            continue
-        comp = full ^ m
-        if any(g & m and g & comp for g in group_masks):
-            continue
-        return False, m
-    return True, None
+    """Core decision; returns (ok, lowest blocking label or None).
+
+    A splitting no group straddles has a union of groups on each side, so
+    the candidates are exactly side B = whichever of c, d lacks party n
+    (either, when neither holds it) joined with any union of the other
+    groups lacking party n: 2^(k-2) labels for k groups.
+    """
+    ref = 1 << (n - 1)
+    labels = [m for m in (cmask, dmask) if not m & ref]
+    for g in group_masks:
+        if g != cmask and g != dmask and not g & ref:
+            labels += [m | g for m in labels]
+    blocking = [m for m in labels if not indicator[m - 1]]
+    return (False, min(blocking)) if blocking else (True, None)
 
 
 def _grouping_masks(grouping: Grouping) -> tuple[int, ...]:
     return tuple(party_bitmask(g) for g in grouping.groups)
 
 
-def _resolve_pair(grouping: Grouping, c, d) -> tuple[frozenset[int], frozenset[int]]:
+def _check_grouping(n: int, grouping: Grouping) -> None:
+    if grouping.n != n:
+        raise ValueError(f"grouping is for n={grouping.n}, the input has n={n}")
+
+
+def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[frozenset[int], frozenset[int]]:
+    _check_grouping(n, grouping)
     cset = frozenset(c)
     dset = frozenset(d)
     for name, s in (("c", cset), ("d", dset)):
@@ -55,43 +64,29 @@ def _resolve_pair(grouping: Grouping, c, d) -> tuple[frozenset[int], frozenset[i
     return cset, dset
 
 
+def _pair_verdict(
+    n: int, indicator: Sequence[int], grouping: Grouping, c, d
+) -> tuple[bool, int | None]:
+    cset, dset = _resolve_pair(n, grouping, c, d)
+    return _verdict(
+        n, indicator, _grouping_masks(grouping), party_bitmask(cset), party_bitmask(dset)
+    )
+
+
 def necessary_distillable(state: FamilyState, grouping: Grouping, c, d) -> bool:
     """Can groups c and d of `grouping` distill a pair between them?
 
     True when every splitting separating c from d is either distillable
     itself or straddled by some group of the grouping.  The condition is
     clearly necessary; for this family the protocol layer realizes it,
-    so it is the exact answer, and distillable_between_groups is the
-    same function under the name the rest of the package uses.
+    so it is the exact answer.
     """
-    if grouping.n != state.n:
-        raise ValueError(f"grouping is for n={grouping.n}, state has n={state.n}")
-    cset, dset = _resolve_pair(grouping, c, d)
-    ok, _ = _verdict(
-        state.n,
-        state.indicator_vector(),
-        _grouping_masks(grouping),
-        party_bitmask(cset),
-        party_bitmask(dset),
-    )
-    return ok
-
-
-distillable_between_groups = necessary_distillable
+    return _pair_verdict(state.n, state.indicator_vector(), grouping, c, d)[0]
 
 
 def distillation_witness(state: FamilyState, grouping: Grouping, c, d) -> Splitting | None:
     """Lowest-label splitting blocking the pair, or None when none does."""
-    if grouping.n != state.n:
-        raise ValueError(f"grouping is for n={grouping.n}, state has n={state.n}")
-    cset, dset = _resolve_pair(grouping, c, d)
-    _, label = _verdict(
-        state.n,
-        state.indicator_vector(),
-        _grouping_masks(grouping),
-        party_bitmask(cset),
-        party_bitmask(dset),
-    )
+    _, label = _pair_verdict(state.n, state.indicator_vector(), grouping, c, d)
     return None if label is None else Splitting(state.n, label)
 
 
@@ -133,8 +128,7 @@ def grouping_report(state: FamilyState, grouping: Grouping) -> GroupingReport:
     pair in the collection is distillable, so the `ghz` field is the
     largest clique in the pair graph (smallest such clique on ties).
     """
-    if grouping.n != state.n:
-        raise ValueError(f"grouping is for n={grouping.n}, state has n={state.n}")
+    _check_grouping(state.n, grouping)
     indicator = state.indicator_vector()
     masks = _grouping_masks(grouping)
     k = len(masks)
@@ -164,11 +158,6 @@ def grouping_report(state: FamilyState, grouping: Grouping) -> GroupingReport:
             best, best_size = sub, size
     ghz = tuple(grouping.groups[i] for i in range(k) if best >> i & 1)
     return GroupingReport(grouping, tuple(pairs), ghz)
-
-
-def ghz_groups(state: FamilyState, grouping: Grouping) -> tuple[frozenset[int], ...]:
-    """Largest collection of groups whose pairs are all distillable."""
-    return grouping_report(state, grouping).ghz
 
 
 def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -239,18 +228,10 @@ class SpecificationBehavior:
         return any(self.spec.bits)
 
     def verdict(self, grouping: Grouping, c, d) -> bool:
-        if grouping.n != self.n:
-            raise ValueError(f"grouping is for n={grouping.n}, specification has n={self.n}")
-        cset, dset = _resolve_pair(grouping, c, d)
-        ok, _ = _verdict(
-            self.n, self.spec.bits, _grouping_masks(grouping),
-            party_bitmask(cset), party_bitmask(dset),
-        )
-        return ok
+        return _pair_verdict(self.n, self.spec.bits, grouping, c, d)[0]
 
     def any_pair_distillable(self, grouping: Grouping) -> bool:
-        if grouping.n != self.n:
-            raise ValueError(f"grouping is for n={grouping.n}, specification has n={self.n}")
+        _check_grouping(self.n, grouping)
         masks = _grouping_masks(grouping)
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):

@@ -106,10 +106,12 @@ def _load_specification(path: str) -> Specification:
         raise ValueError("specification file needs integer n and a bits object")
     mapping = {}
     for key, value in bits.items():
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"bits entry {key!r}: {value!r} is not 0 or 1")
         try:
-            mapping[int(key)] = int(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"bits entry {key!r}: {value!r} is not 0 or 1") from None
+            mapping[int(key)] = value
+        except ValueError:
+            raise ValueError(f"bits entry {key!r} is not a label") from None
     return Specification.from_mapping(n, mapping)
 
 

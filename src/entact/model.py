@@ -13,6 +13,7 @@ arithmetic, the constructors and the dense oracle agree entry for entry.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -159,7 +160,16 @@ def validate(state: FamilyState) -> list[str]:
     if len(state.lam) != want:
         problems.append(f"coefficient array has length {len(state.lam)}, expected {want}")
         return problems
-    for name, value in (("lam0_plus", state.lam0_plus), ("lam0_minus", state.lam0_minus)):
+    corners = (("lam0_plus", state.lam0_plus), ("lam0_minus", state.lam0_minus))
+    for name, value in corners:
+        if not math.isfinite(value):
+            problems.append(f"{name} is not finite ({value})")
+    nonfinite = [i + 1 for i, v in enumerate(state.lam) if not math.isfinite(v)]
+    if nonfinite:
+        problems.append(f"non-finite coefficients at labels {nonfinite[:8]}")
+    if problems:
+        return problems
+    for name, value in corners:
         if value < 0.0:
             problems.append(f"{name} is negative ({value})")
     negative = [i + 1 for i, v in enumerate(state.lam) if v < 0.0]
@@ -289,8 +299,8 @@ class Specification:
         want = (1 << (self.n - 1)) - 1
         if len(self.bits) != want:
             raise ValueError(f"need {want} bits for n={self.n}, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("specification bits must be 0 or 1")
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
+            raise ValueError("specification bits must be the integers 0 or 1")
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "Specification":
@@ -306,7 +316,7 @@ class Specification:
                 + (f"; missing {sorted(want - got)[:8]}" if want - got else "")
                 + (f"; unknown {sorted(got - want)[:8]}" if got - want else "")
             )
-        return cls(n, tuple(1 if mapping[m] else 0 for m in range(1, 1 << (n - 1))))
+        return cls(n, tuple(mapping[m] for m in range(1, 1 << (n - 1))))
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "Specification":

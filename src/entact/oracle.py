@@ -183,24 +183,16 @@ def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def join_dense(mat: np.ndarray, parties, weights) -> np.ndarray:
-    """Dense counterpart of join_povm; weights use the same canonical keys."""
+def join_dense(mat: np.ndarray, parties) -> np.ndarray:
+    """Dense counterpart of join_povm: keep the indices where all members agree."""
     n = _party_count(mat)
     members = sorted(set(parties))
     if len(members) < 2 or any(not 1 <= p <= n for p in members):
         raise ValueError(f"need at least two parties within 1..{n}")
-    full = (1 << len(members)) - 1
-    dim = 1 << n
-    damp = np.empty(dim, dtype=np.float64)
-    for z in range(dim):
-        p = 0
-        for pos, party in enumerate(members):
-            if z >> (n - party) & 1:
-                p |= 1 << pos
-        key = min(p, p ^ full)
-        damp[z] = 1.0 if key == 0 else weights.get(key, 1.0)
-    root = np.sqrt(damp)
-    out = mat * np.outer(root, root)
+    keep = np.array(
+        [len({z >> (n - p) & 1 for p in members}) == 1 for z in range(1 << n)], dtype=np.float64
+    )
+    out = mat * np.outer(keep, keep)
     return out / np.trace(out).real
 
 

@@ -8,10 +8,10 @@ density matrices so the two routes can be compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .analysis import distillation_witness
-from .model import FamilyState, Grouping, Splitting, _check_party_set
+from .analysis import _resolve_pair, distillation_witness
+from .model import FamilyState, Grouping, Splitting, _check_party_set, party_bitmask
 
 AMPLIFY_CAP = 64
 
@@ -110,85 +110,24 @@ def measure_out_party(state: FamilyState, party: int, auto_amplify: bool = True)
     return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, lam)
 
 
-def _joined_members(n: int, parties: Iterable[int]) -> list[int]:
-    return sorted(_check_party_set(n, parties, "group"))
+def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
+    """Let a group of parties act as one unit by projecting it onto its all-0/all-1 span.
 
-
-def _pattern_key(label: int, members: list[int], n: int) -> int:
-    """Canonical side pattern of the members under this label.
-
-    A pattern and its bitwise complement name the same physical split of
-    the group, so the smaller integer of the two is the key; 0 means the
-    group sits entirely on one side.
+    The projector keeps exactly the basis patterns on which every member
+    agrees, so every label the group straddles drops to exactly 0 and
+    the rest, corners included, keep their coefficients before
+    renormalizing.  A group member measured later therefore merges each
+    label with a zero, and only the group's last member needs
+    amplification.
     """
-    full = (1 << len(members)) - 1
-    p = 0
-    for pos, party in enumerate(members):
-        if party < n and label >> (party - 1) & 1:
-            p |= 1 << pos
-    return min(p, p ^ full)
-
-
-def auto_join_weights(state: FamilyState, parties: Iterable[int]) -> dict[int, float]:
-    """Damping weights that push every label the group straddles under the threshold.
-
-    Keyed by canonical pattern; each weight is half-gap over twice the
-    largest coefficient carrying that pattern, clamped to 1.  After a
-    join with these weights every straddled label sits at or below a
-    quarter of the gap, leaving slack for later merges.
-    """
-    members = _joined_members(state.n, parties)
-    half = 0.5 * state.delta
-    if half <= 0.0:
-        raise DegenerateStateError("join weights need a positive corner gap")
-    largest: dict[int, float] = {}
-    for label in range(1, state.label_count + 1):
-        key = _pattern_key(label, members, state.n)
-        if key == 0:
-            continue
-        v = state.lam[label - 1]
-        if v > largest.get(key, 0.0):
-            largest[key] = v
-    return {key: min(1.0, half / (2.0 * v)) for key, v in largest.items() if v > 0.0}
-
-
-def _check_join_weights(weights: Mapping[int, float], size: int) -> None:
-    top = 1 << (size - 1)
-    for key, y in weights.items():
-        if not 0 <= key < top:
-            raise ValueError(
-                f"weight key {key} is not a canonical pattern (expected 0 <= key < {top})"
-            )
-        if not 0.0 < y <= 1.0:
-            raise ValueError(f"weight for pattern {key} must lie in (0, 1], got {y}")
-    if weights.get(0, 1.0) != 1.0:
-        raise ValueError("the constant pattern must keep weight 1")
-
-
-def join_povm(
-    state: FamilyState, parties: Iterable[int], weights: Mapping[int, float] | None = None
-) -> FamilyState:
-    """Let a group of parties act as one unit by damping what it straddles.
-
-    The group applies a diagonal filter whose weight depends only on its
-    members' side pattern, with complementary patterns weighted equally
-    and constant patterns untouched.  Labels the group does not straddle
-    keep their threshold ratios exactly; straddled labels are scaled by
-    their pattern's weight and, with the default weights from
-    auto_join_weights, come out strictly distillable.
-    """
-    members = _joined_members(state.n, parties)
-    if len(members) < 2:
+    gmask = party_bitmask(_check_party_set(state.n, parties, "group"))
+    if gmask.bit_count() < 2:
         raise ValueError("joining needs at least two parties")
-    if weights is None:
-        weights = auto_join_weights(state, members)
-    else:
-        _check_join_weights(weights, len(members))
-    lam = []
-    for label in range(1, state.label_count + 1):
-        key = _pattern_key(label, members, state.n)
-        y = 1.0 if key == 0 else weights.get(key, 1.0)
-        lam.append(y * state.lam[label - 1])
+    full = (1 << state.n) - 1
+    lam = tuple(
+        0.0 if gmask & label and gmask & (full ^ label) else v
+        for label, v in enumerate(state.lam, start=1)
+    )
     return FamilyState.from_unnormalized(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
@@ -297,21 +236,13 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
     """Run the activation protocol for one pair of groups, end to end.
 
     Order of play: check the splitting-level verdict (bailing out with
-    the lowest blocking splitting), apply the joint filter inside every
-    multi-party group, relabel so the anchor party sits in c, measure
+    the lowest blocking splitting), project every multi-party group onto
+    its all-0/all-1 span, relabel so the anchor party sits in c, measure
     the helper parties out from the highest label down, then collapse
     the remaining c-d splitting to its effective pair.  Whenever the
     verdict holds this ends in a distillable pair.
     """
-    if grouping.n != state.n:
-        raise ValueError(f"grouping is for n={grouping.n}, state has n={state.n}")
-    cset = frozenset(c)
-    dset = frozenset(d)
-    for name, s in (("c", cset), ("d", dset)):
-        if s not in grouping.groups:
-            raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
-    if cset == dset:
-        raise ValueError("c and d must be different groups")
+    cset, dset = _resolve_pair(state.n, grouping, c, d)
 
     steps = [PipelineStep("start", f"input state on {state.n} parties", state, _digest(state))]
     witness = distillation_witness(state, grouping, cset, dset)

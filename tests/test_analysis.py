@@ -14,12 +14,12 @@ from entact import (
     example_pattern,
     example_state,
     from_specification,
-    ghz_groups,
     grouping_report,
     iter_set_partitions,
     necessary_distillable,
     random_family_state,
     search_specifications,
+    separating_splittings,
     straddles,
 )
 
@@ -71,6 +71,24 @@ def test_witness_properties_hold_whenever_reported():
             cbits = {w.bit(p) for p in pv.c}
             dbits = {w.bit(p) for p in pv.d}
             assert len(cbits) == 1 and len(dbits) == 1 and cbits != dbits
+    # reference: scan every separating splitting for the lowest blocking one
+    for n in range(3, 7):
+        for seed in range(4):
+            state = random_family_state(n, seed=100 * n + seed)
+            for part in iter_set_partitions(n):
+                grouping = Grouping.from_sets(n, part)
+                for c in grouping.groups:
+                    for d in grouping.groups:
+                        if c == d:
+                            continue
+                        want = next(
+                            (sp for sp in separating_splittings(n, c, d)
+                             if state.indicator(sp.mask) == 0
+                             and not any(straddles(sp, g) for g in grouping.groups)),
+                            None,
+                        )
+                        assert distillation_witness(state, grouping, c, d) == want
+                        assert necessary_distillable(state, grouping, c, d) == (want is None)
 
 
 def test_grouping_report_shape():
@@ -89,7 +107,6 @@ def test_ghz_groups_is_a_clique():
     state = example_state("VII")
     g = Grouping.from_sets(5, [[3, 4], [1], [2], [5]])
     report = grouping_report(state, g)
-    assert report.ghz == ghz_groups(state, g)
     assert frozenset({1}) in report.ghz and frozenset({2}) in report.ghz
     for a in report.ghz:
         for b in report.ghz:

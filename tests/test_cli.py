@@ -49,6 +49,16 @@ def test_state_document_rejection():
         load_state("/nonexistent/state.json")
 
 
+def test_non_finite_state_file_is_rejected(tmp_path, capsys):
+    doc = state_document(example_state("VI"))
+    doc["lam0_plus"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+    assert rc == 2 and out == ""
+    assert "lam0_plus is not finite" in err
+
+
 def test_construct_example_to_file(tmp_path, capsys):
     path = tmp_path / "vi.json"
     rc, out, err = run(capsys, "construct", "--example", "VI", "-o", str(path))
@@ -84,6 +94,11 @@ def test_construct_from_spec_file(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 3, "bits": {"1": 1}}))
     rc, _, err = run(capsys, "construct", "--spec", str(bad))
     assert rc == 2 and "error:" in err
+
+    for value in (2, -1, True, "1", 1.0):
+        bad.write_text(json.dumps({"n": 3, "bits": {"1": value, "2": 0, "3": 1}}))
+        rc, out, err = run(capsys, "construct", "--spec", str(bad))
+        assert rc == 2 and out == "" and "is not 0 or 1" in err
 
 
 def test_construct_pretty_table(capsys):
@@ -179,7 +194,7 @@ def test_protocol_json_success(vi_state_file, capsys):
     assert doc["succeeded"] is True
     assert doc["witness"] is None
     assert doc["final_split"]["splitting"] == "(A2)-(A1)"
-    assert doc["outcome"]["fidelity"] == pytest.approx(0.625)
+    assert doc["outcome"]["fidelity"] == pytest.approx(1.0)
     kinds = [s["kind"] for s in doc["steps"]]
     assert kinds == ["start", "join", "permute", "measure", "measure", "project"]
     assert "state" not in doc["steps"][0]
@@ -215,7 +230,7 @@ def test_protocol_pretty(vi_state_file, capsys):
         "--grouping", "1|2|3,4", "--pair", "1", "2", "--pretty",
     )
     assert rc == 0
-    assert "outcome: fidelity 0.625" in out
+    assert "outcome: fidelity 1, distillable" in out
     rc, out, _ = run(
         capsys, "protocol", "--state", vi_state_file,
         "--grouping", "1,3|2|4", "--pair", "1", "2", "--pretty",

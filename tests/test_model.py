@@ -90,6 +90,9 @@ def test_validate_reports_problems():
     assert any("lam0_plus < lam0_minus" in p for p in validate(FamilyState(2, 0.2, 0.4, (0.2,))))
     assert any("total weight" in p for p in validate(FamilyState(2, 0.9, 0.0, (0.3,))))
     assert validate(FamilyState(1, 1.0, 0.0, ()))
+    nan = float("nan")
+    assert any("lam0_minus is not finite" in p for p in validate(FamilyState(2, 0.5, nan, (0.25,))))
+    assert any("labels [2]" in p for p in validate(FamilyState(3, 0.5, 0.0, (0.25, nan, 0.0))))
 
 
 @settings(max_examples=60)
@@ -160,6 +163,9 @@ def test_specification_validation():
         Specification(3, (0, 2, 1))
     with pytest.raises(ValueError):
         Specification.from_mapping(3, {1: 1, 2: 0})
+    for bad in (2, True, 1.0):
+        with pytest.raises(ValueError):
+            Specification.from_mapping(3, {1: bad, 2: 0, 3: 1})
     spec = Specification.from_mapping(3, {1: 1, 2: 0, 3: 1})
     assert spec.bits == (1, 0, 1)
     assert spec.value(2) == 0

@@ -133,9 +133,8 @@ def test_join_dense_matches_family_route():
     from entact import join_povm
 
     state = random_family_state(4, seed=9)
-    weights = {0: 1.0, 1: 0.5}
-    fam = join_povm(state, {1, 2}, weights=weights)
-    back = coefficients_from_density(join_dense(build_density(state), [1, 2], weights))
+    fam = join_povm(state, {1, 2})
+    back = coefficients_from_density(join_dense(build_density(state), [1, 2]))
     assert back.lam0_plus == pytest.approx(fam.lam0_plus, abs=1e-12)
     assert back.lam0_minus == pytest.approx(fam.lam0_minus, abs=1e-12)
     for a, b in zip(back.lam, fam.lam):

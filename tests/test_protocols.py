@@ -11,7 +11,6 @@ from entact import (
     Grouping,
     Splitting,
     amplify,
-    auto_join_weights,
     distill_pipeline,
     example_state,
     join_povm,
@@ -130,46 +129,18 @@ def test_join_povm_straddled_labels_drop():
     group = {1, 2}
     out = join_povm(state, group)
     assert validate(out) == []
-    half = out.delta / 2
     for mask in range(1, 8):
         sp = Splitting(4, mask)
         if {p for p in group if sp.bit(p)} not in (set(), group):
-            assert out.coefficient(mask) < half
-            assert out.coefficient(mask) <= half / 2 + 1e-12
+            assert out.coefficient(mask) == 0.0
         else:
             assert out.indicator(mask) == state.indicator(mask)
-
-
-def test_join_povm_explicit_weights():
-    state = FamilyState.from_unnormalized(3, 0.5, 0.1, (0.3, 0.02, 0.3))
-    out = join_povm(state, {1, 3}, weights={0: 1.0, 1: 0.25})
-    # labels 1 and 3 carry pattern key 1 across parties {1,3}; label 2 carries key 0
-    assert out.total_weight() == pytest.approx(1.0, abs=1e-12)
-    ratio = out.coefficient(1) / out.coefficient(2)
-    assert ratio == pytest.approx(0.25 * 0.3 / 0.02, rel=1e-12)
 
 
 def test_join_povm_weight_validation():
     state = random_family_state(4, seed=8)
     with pytest.raises(ValueError):
         join_povm(state, {1})
-    with pytest.raises(ValueError):
-        join_povm(state, {1, 2}, weights={0: 0.5, 1: 0.5})
-    with pytest.raises(ValueError):
-        join_povm(state, {1, 2}, weights={0: 1.0, 1: 1.5})
-    with pytest.raises(ValueError):
-        join_povm(state, {1, 2}, weights={0: 1.0, 2: 0.5})
-
-
-def test_auto_join_weights_respect_gap():
-    state = random_family_state(5, seed=21)
-    weights = auto_join_weights(state, {2, 3, 5})
-    assert 0 not in weights  # constant patterns never need damping
-    assert set(weights) <= {1, 2, 3}
-    assert all(0.0 < y <= 1.0 for y in weights.values())
-    flat = FamilyState(3, 0.25, 0.25, (0.1, 0.05, 0.1))
-    with pytest.raises(DegenerateStateError):
-        auto_join_weights(flat, {1, 2})
 
 
 def test_project_to_effective_pair():
@@ -224,10 +195,10 @@ def test_pipeline_worked_four_party_run():
     assert trace.witness is None
     assert trace.outcome is not None
     assert trace.outcome.distillable
-    assert trace.outcome.fidelity == pytest.approx(0.625)
+    assert trace.outcome.fidelity == pytest.approx(1.0)
     kinds = [step.kind for step in trace.steps]
     assert kinds == ["start", "join", "permute", "measure", "measure", "project"]
-    # joining {3,4} pushes every splitting it straddles under the threshold
+    # projecting {3,4} zeroes every splitting it straddles
     assert trace.steps[1].digest == "1111111"
     assert trace.steps[-1].state.n == 2
     assert trace.final_split is not None
