@@ -9,6 +9,7 @@ group; the pair is distillable exactly when no splitting blocks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -20,6 +21,24 @@ from .model import (
 )
 
 
+def _separating_labels(
+    n: int, group_masks: Sequence[int], cmask: int, dmask: int
+) -> list[int]:
+    """Labels of the splittings that separate c from d and no group straddles.
+
+    Such a splitting has a union of groups on each side, so the labels
+    are exactly side B = whichever of c, d lacks party n (either, when
+    neither holds it) joined with any union of the other groups lacking
+    party n: 2^(k-2) distinct labels for k groups.
+    """
+    ref = 1 << (n - 1)
+    labels = [m for m in (cmask, dmask) if not m & ref]
+    for g in group_masks:
+        if g != cmask and g != dmask and not g & ref:
+            labels += [m | g for m in labels]
+    return labels
+
+
 def _verdict(
     n: int,
     indicator: Sequence[int],
@@ -27,18 +46,8 @@ def _verdict(
     cmask: int,
     dmask: int,
 ) -> tuple[bool, int | None]:
-    """Core decision; returns (ok, lowest blocking label or None).
-
-    A splitting no group straddles has a union of groups on each side, so
-    the candidates are exactly side B = whichever of c, d lacks party n
-    (either, when neither holds it) joined with any union of the other
-    groups lacking party n: 2^(k-2) labels for k groups.
-    """
-    ref = 1 << (n - 1)
-    labels = [m for m in (cmask, dmask) if not m & ref]
-    for g in group_masks:
-        if g != cmask and g != dmask and not g & ref:
-            labels += [m | g for m in labels]
+    """Core decision; returns (ok, lowest blocking label or None)."""
+    labels = _separating_labels(n, group_masks, cmask, dmask)
     blocking = [m for m in labels if not indicator[m - 1]]
     return (False, min(blocking)) if blocking else (True, None)
 
@@ -244,29 +253,83 @@ class SpecificationBehavior:
 Requirement = Callable[[SpecificationBehavior], bool]
 
 
-def any_two_activation_requirement() -> Requirement:
+@dataclass(frozen=True)
+class Clauses:
+    """A requirement compiled to label bitmasks, bit m-1 for label m.
+
+    Every label in `ones` must be 1, and every mask in `zeros` must hold
+    at least one 0.  The layout is that of Specification.to_int, so a
+    search tests candidates as plain integers.  Called on a behavior the
+    object is a Requirement like any other.
+    """
+
+    n: int
+    ones: int
+    zeros: tuple[int, ...]
+
+    def holds(self, value: int) -> bool:
+        ones = self.ones
+        return value & ones == ones and all(value & z != z for z in self.zeros)
+
+    def __call__(self, behavior: SpecificationBehavior) -> bool:
+        self._check_n(behavior.n)
+        return self.holds(behavior.spec.to_int())
+
+    def _check_n(self, n: int) -> None:
+        if n != self.n:
+            raise ValueError(f"this requirement is defined for n={self.n}, not n={n}")
+
+
+def _label_set(n: int, group_masks: Sequence[int], cmask: int, dmask: int) -> int:
+    """Bitmask of U(g, c, d): the pair is distillable exactly when all of it is 1."""
+    out = 0
+    for m in _separating_labels(n, group_masks, cmask, dmask):
+        out |= 1 << (m - 1)
+    return out
+
+
+def _compile(
+    n: int,
+    activate: Iterable[tuple[Grouping, set[int], set[int]]],
+    silent: Iterable[Grouping],
+    zero_labels: Iterable[int] = (),
+) -> Clauses:
+    """Compile demanded and forbidden pair verdicts to Clauses.
+
+    Every (g, c, d) in `activate` must be distillable, no pair of any
+    grouping in `silent` may be, and every label in `zero_labels` is 0.
+    A demanded pair puts its whole label set into `ones`; a forbidden
+    pair needs some label of its set to be 0.  A non-empty `ones` also
+    makes the pattern entangled, so that needs no clause of its own.
+    """
+    ones = 0
+    for grouping, c, d in activate:
+        cset, dset = _resolve_pair(n, grouping, c, d)
+        masks = _grouping_masks(grouping)
+        ones |= _label_set(n, masks, party_bitmask(cset), party_bitmask(dset))
+    zeros = [1 << (m - 1) for m in zero_labels]
+    for grouping in silent:
+        _check_grouping(n, grouping)
+        masks = _grouping_masks(grouping)
+        zeros += [_label_set(n, masks, a, b) for a, b in combinations(masks, 2)]
+    assert ones, "a requirement without a demanded activation does not imply entanglement"
+    return Clauses(n, ones, tuple(zeros))
+
+
+def any_two_activation_requirement() -> Clauses:
     """Joining any two of parties 3, 4, 5 must activate the pair (1, 2).
 
     On top of that the pattern must be entangled yet give no pair at all
     when every party acts alone.  No five-party pattern meets this; the
     interest is in search_specifications certifying the exhaustion.
     """
-    all_separate = Grouping.all_separate(5)
-    joined = tuple(Grouping.with_joined(5, pair) for pair in ((3, 4), (3, 5), (4, 5)))
-
-    def requirement(b: SpecificationBehavior) -> bool:
-        if b.n != 5:
-            raise ValueError("this requirement is defined for five parties")
-        if not b.entangled():
-            return False
-        if b.any_pair_distillable(all_separate):
-            return False
-        return all(b.verdict(g, {1}, {2}) for g in joined)
-
-    return requirement
+    joined = [Grouping.with_joined(5, pair) for pair in ((3, 4), (3, 5), (4, 5))]
+    return _compile(
+        5, activate=[(g, {1}, {2}) for g in joined], silent=[Grouping.all_separate(5)]
+    )
 
 
-def example_vii_requirement() -> Requirement:
+def example_vii_requirement() -> Clauses:
     """Pin of the five-party activation pattern in the catalog.
 
     Behavior: entangled, nothing distillable with all parties separate,
@@ -275,31 +338,16 @@ def example_vii_requirement() -> Requirement:
     and 2 on the same side stay separable.  Run through
     search_specifications this recovers the catalog pattern VII.
     """
-    all_separate = Grouping.all_separate(5)
-    g34 = Grouping.with_joined(5, (3, 4))
-    g35 = Grouping.with_joined(5, (3, 5))
-    g45 = Grouping.with_joined(5, (4, 5))
-    together = tuple(m for m in range(1, 16) if (m & 1) == (m >> 1 & 1))
-
-    def requirement(b: SpecificationBehavior) -> bool:
-        if b.n != 5:
-            raise ValueError("this requirement is defined for five parties")
-        if any(b.indicator(m) for m in together):
-            return False
-        if not b.entangled():
-            return False
-        if b.any_pair_distillable(all_separate):
-            return False
-        if not b.verdict(g34, {1}, {2}):
-            return False
-        if not b.verdict(g35, {1}, {2}):
-            return False
-        return not b.any_pair_distillable(g45)
-
-    return requirement
+    joined = [Grouping.with_joined(5, pair) for pair in ((3, 4), (3, 5))]
+    return _compile(
+        5,
+        activate=[(g, {1}, {2}) for g in joined],
+        silent=[Grouping.all_separate(5), Grouping.with_joined(5, (4, 5))],
+        zero_labels=[m for m in range(1, 16) if (m & 1) == (m >> 1 & 1)],
+    )
 
 
-BUILTIN_REQUIREMENTS: dict[str, Callable[[], Requirement]] = {
+BUILTIN_REQUIREMENTS: dict[str, Callable[[], Clauses]] = {
     "any-two": any_two_activation_requirement,
     "example-vii": example_vii_requirement,
 }
@@ -313,18 +361,25 @@ def search_specifications(
     Enumerates every 0/1 assignment over the 2**(n-1) - 1 labels
     starting from all-ones, so the first hit concedes separability on as
     few splittings as possible.  Returns None when the requirement is
-    unsatisfiable.  The candidate count doubles with every label, hence
-    the guard; raising max_n past 5 is the caller's own risk.
+    unsatisfiable.  Compiled Clauses are tested on the bare integers;
+    any other requirement sees a SpecificationBehavior per candidate.
+    The candidate count doubles with every label, hence the guard;
+    raising max_n past 5 is the caller's own risk.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if isinstance(requirement, Clauses):
+        requirement._check_n(n)
+        test = requirement.holds
+    else:
+        def test(value: int) -> bool:
+            return requirement(SpecificationBehavior(Specification.from_int(n, value)))
     if n > max_n:
         labels = (1 << (n - 1)) - 1
         raise ValueError(
             f"searching n={n} means 2**{labels} candidates; pass max_n={n} to confirm"
         )
     for value in range((1 << ((1 << (n - 1)) - 1)) - 1, -1, -1):
-        spec = Specification.from_int(n, value)
-        if requirement(SpecificationBehavior(spec)):
-            return spec
+        if test(value):
+            return Specification.from_int(n, value)
     return None

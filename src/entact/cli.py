@@ -61,12 +61,17 @@ def state_from_document(doc: Any) -> FamilyState:
     lam = doc["lam"]
     if not isinstance(n, int) or not isinstance(lam, list):
         raise ValueError("state document has n of wrong type or lam is not a list")
-    try:
-        state = FamilyState(
-            n, float(doc["lam0_plus"]), float(doc["lam0_minus"]), tuple(float(v) for v in lam)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"state document holds non-numeric entries: {exc}") from None
+    fields = [("lam0_plus", doc["lam0_plus"]), ("lam0_minus", doc["lam0_minus"])]
+    fields += [(f"lam[{i}]", v) for i, v in enumerate(lam)]
+    numbers = []
+    for name, value in fields:
+        if type(value) not in (int, float):
+            raise ValueError(f"state document: {name} is {value!r}, not a JSON number")
+        try:
+            numbers.append(float(value))
+        except OverflowError:
+            raise ValueError(f"state document: {name} is too large for a float") from None
+    state = FamilyState(n, numbers[0], numbers[1], tuple(numbers[2:]))
     problems = validate(state)
     if problems:
         raise ValueError("invalid state: " + "; ".join(problems))

@@ -130,8 +130,10 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
 
     Indicator 1 must show a partial-transpose eigenvalue below -tol;
     indicator 0 must not.  Exact boundary states land on the separable
-    side in both routes.
+    side in both routes.  A negative or non-finite tol is rejected.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     _check_cap(state.n)
     rho = build_density(state)
     checks = []

@@ -182,6 +182,47 @@ def test_builtin_requirement_names_and_guards():
         any_two(SpecificationBehavior(Specification.constant(4, 1)))
 
 
+ALL_SEPARATE = Grouping.all_separate(5)
+G34, G35, G45 = (Grouping.with_joined(5, pair) for pair in ((3, 4), (3, 5), (4, 5)))
+
+
+def reference_any_two(b):
+    """The any-two requirement written directly over pair verdicts."""
+    if not b.entangled():
+        return False
+    if b.any_pair_distillable(ALL_SEPARATE):
+        return False
+    return all(b.verdict(g, {1}, {2}) for g in (G34, G35, G45))
+
+
+def reference_example_vii(b):
+    """The example-vii requirement written directly over pair verdicts."""
+    together = tuple(m for m in range(1, 16) if (m & 1) == (m >> 1 & 1))
+    if any(b.indicator(m) for m in together):
+        return False
+    if not b.entangled():
+        return False
+    if b.any_pair_distillable(ALL_SEPARATE):
+        return False
+    if not b.verdict(G34, {1}, {2}):
+        return False
+    if not b.verdict(G35, {1}, {2}):
+        return False
+    return not b.any_pair_distillable(G45)
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    [("any-two", reference_any_two), ("example-vii", reference_example_vii)],
+)
+def test_compiled_requirement_matches_reference(name, reference):
+    clauses = BUILTIN_REQUIREMENTS[name]()
+    assert clauses.n == 5 and clauses.ones
+    for value in range(1 << 15):
+        want = reference(SpecificationBehavior(Specification.from_int(5, value)))
+        assert clauses.holds(value) == want, (name, value)
+
+
 def test_search_returns_descending_first_match():
     found = search_specifications(4, lambda b: True)
     assert found == Specification.constant(4, 1)
@@ -195,3 +236,6 @@ def test_search_respects_size_guard():
     assert found == Specification.constant(6, 1)
     with pytest.raises(ValueError):
         search_specifications(1, lambda b: True)
+    # a compiled requirement names its own party count before the guard
+    with pytest.raises(ValueError, match="defined for n=5, not n=6"):
+        search_specifications(6, BUILTIN_REQUIREMENTS["any-two"](), max_n=6)

@@ -101,6 +101,26 @@ def test_construct_from_spec_file(tmp_path, capsys):
         assert rc == 2 and out == "" and "is not 0 or 1" in err
 
 
+def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
+    good = state_document(example_state("VI"))
+    path = tmp_path / "state.json"
+    cases = [
+        ("lam0_plus", "1", "lam0_plus"),
+        ("lam0_minus", False, "lam0_minus"),
+        ("lam0_minus", None, "lam0_minus"),
+        ("lam", ["0"] + good["lam"][1:], "lam[0]"),
+        ("lam", good["lam"][:2] + [True] + good["lam"][3:], "lam[2]"),
+        ("lam0_plus", 10**400, "lam0_plus"),
+    ]
+    for field, value, name in cases:
+        path.write_text(json.dumps({**good, field: value}))
+        rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+        assert rc == 2 and out == "" and name in err, (field, value, err)
+    path.write_text(json.dumps({**good, "lam0_minus": 0}))  # a JSON integer is a number
+    rc, _, _ = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+    assert rc == 0
+
+
 def test_construct_pretty_table(capsys):
     rc, out, _ = run(capsys, "construct", "--example", "VI", "--pretty")
     assert rc == 0
@@ -247,6 +267,9 @@ def test_verify_agreement(tmp_path, capsys):
     assert doc["kind"] == "verify"
     assert doc["all_agree"] is True
     assert len(doc["checks"]) == 3
+    for tol in ("-1", "nan", "inf"):
+        rc, out, err = run(capsys, "verify", "--state", str(path), "--tol", tol)
+        assert rc == 2 and out == "" and "tolerance must be finite and nonnegative" in err
 
 
 def test_verify_flags_boundary_disagreement(tmp_path, capsys):
@@ -284,6 +307,9 @@ def test_search_finds_catalog_pattern(capsys):
 def test_search_rejects_wrong_party_count(capsys):
     rc, _, err = run(capsys, "search", "--n", "4", "--requirement", "any-two")
     assert rc == 2 and "error:" in err
+    rc, out, err = run(capsys, "search", "--n", "6", "--requirement", "any-two")
+    assert rc == 2 and out == ""
+    assert "n=5" in err and "n=6" in err and "max_n" not in err
     with pytest.raises(SystemExit):
         main(["search", "--requirement", "bogus"])
 
