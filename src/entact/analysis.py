@@ -21,6 +21,14 @@ from .model import (
 )
 
 
+def _subset_unions(masks: Sequence[int]) -> list[int]:
+    """Union of every subset of `masks`: entry s joins masks[i] for each bit i of s."""
+    unions = [0]
+    for g in masks:
+        unions += [u | g for u in unions]
+    return unions
+
+
 def _separating_labels(
     n: int, group_masks: Sequence[int], cmask: int, dmask: int
 ) -> list[int]:
@@ -32,11 +40,9 @@ def _separating_labels(
     party n: 2^(k-2) distinct labels for k groups.
     """
     ref = 1 << (n - 1)
-    labels = [m for m in (cmask, dmask) if not m & ref]
-    for g in group_masks:
-        if g != cmask and g != dmask and not g & ref:
-            labels += [m | g for m in labels]
-    return labels
+    others = [g for g in group_masks if g != cmask and g != dmask and not g & ref]
+    unions = _subset_unions(others)
+    return [m | u for m in (cmask, dmask) if not m & ref for u in unions]
 
 
 def _verdict(
@@ -124,10 +130,76 @@ class GroupingReport:
     def pair(self, c, d) -> PairVerdict:
         cset = frozenset(c)
         dset = frozenset(d)
+        if cset == dset:
+            raise ValueError(
+                f"c and d are the same group {','.join(map(str, sorted(cset)))}; "
+                "a pair needs two different groups"
+            )
         for pv in self.pairs:
             if {pv.c, pv.d} == {cset, dset}:
                 return pv
         raise ValueError(f"no pair ({sorted(cset)}, {sorted(dset)}) in this report")
+
+
+def _pair_labels(
+    n: int, indicator: Sequence[int], group_masks: Sequence[int]
+) -> list[int]:
+    """Lowest blocking label of every pair of groups, from one pass over the unions of groups.
+
+    The splittings no group straddles are the unions of the groups that
+    lack party n.  Union s joins the groups at the bits of s; with those
+    groups in ascending mask order its label grows with s, since disjoint
+    masks compare by their highest party.  One pass over s collects the
+    zero unions as the bits of `zero`, lowest label first.  A zero union
+    blocks each pair with exactly one group inside it, so a pair's lowest
+    blocking label, the one `_verdict` finds, sits at the lowest bit of
+    zero & (inside[i] ^ inside[j]).  Returns that label, or 0 when the
+    pair distills, for each pair (i, j), i < j, in order.
+    """
+    ref = 1 << (n - 1)
+    k = len(group_masks)
+    free = sorted((i for i in range(k) if not group_masks[i] & ref), key=group_masks.__getitem__)
+    unions = _subset_unions([group_masks[i] for i in free])
+    width = len(unions)
+    zero = 0
+    for s in range(1, width):
+        if not indicator[unions[s] - 1]:
+            zero |= 1 << s
+    # inside[i] has bit s set when union s holds group i, the one at position
+    # p of free: alternating runs of 2^p clear and 2^p set bits
+    inside = [0] * k
+    for p, i in enumerate(free):
+        run = 1 << p
+        inside[i] = ((1 << width) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    labels = []
+    for i in range(k):
+        row = zero & inside[i]
+        for j in range(i + 1, k):
+            blockers = row ^ zero & inside[j]
+            labels.append(unions[(blockers & -blockers).bit_length() - 1] if blockers else 0)
+    return labels
+
+
+def _largest_clique(adj: Sequence[int]) -> int:
+    """Largest clique of the graph with neighbour rows `adj`, smallest on ties.
+
+    clique[sub] holds when sub minus its lowest member is a clique all
+    adjacent to that member; the first sub of each new size wins.
+    """
+    if not any(adj):
+        return 1
+    clique = bytearray(1 << len(adj))
+    clique[0] = 1
+    best = best_size = 0
+    for sub in range(1, 1 << len(adj)):
+        low = sub & -sub
+        rest = sub ^ low
+        if clique[rest] and not rest & ~adj[low.bit_length() - 1]:
+            clique[sub] = 1
+            size = sub.bit_count()
+            if size > best_size:
+                best, best_size = sub, size
+    return best
 
 
 def grouping_report(state: FamilyState, grouping: Grouping) -> GroupingReport:
@@ -138,34 +210,21 @@ def grouping_report(state: FamilyState, grouping: Grouping) -> GroupingReport:
     largest clique in the pair graph (smallest such clique on ties).
     """
     _check_grouping(state.n, grouping)
-    indicator = state.indicator_vector()
-    masks = _grouping_masks(grouping)
-    k = len(masks)
+    groups = grouping.groups
+    k = len(groups)
+    labels = _pair_labels(state.n, state.indicator_vector(), _grouping_masks(grouping))
+    splits: dict[int, Splitting | None] = {0: None}
     pairs = []
     adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            ok, label = _verdict(state.n, indicator, masks, masks[i], masks[j])
-            pairs.append(
-                PairVerdict(
-                    grouping.groups[i],
-                    grouping.groups[j],
-                    ok,
-                    None if label is None else Splitting(state.n, label),
-                )
-            )
-            if ok:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best = 0
-    best_size = 0
-    for sub in range(1, 1 << k):
-        size = sub.bit_count()
-        if size <= best_size:
-            continue
-        if all(sub & ~adj[i] == 1 << i for i in range(k) if sub >> i & 1):
-            best, best_size = sub, size
-    ghz = tuple(grouping.groups[i] for i in range(k) if best >> i & 1)
+    for (i, j), label in zip(combinations(range(k), 2), labels):
+        if label not in splits:
+            splits[label] = Splitting(state.n, label)
+        pairs.append(PairVerdict(groups[i], groups[j], not label, splits[label]))
+        if not label:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best = _largest_clique(adj)
+    ghz = tuple(groups[i] for i in range(k) if best >> i & 1)
     return GroupingReport(grouping, tuple(pairs), ghz)
 
 
@@ -178,22 +237,29 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
         raise ValueError("n must be at least 1")
     if blocks is not None and blocks < 1:
         raise ValueError("blocks must be at least 1")
+    if blocks is not None and blocks > n:
+        return
+    # a[i] is the block of party i + 1 and top[i] the largest of a[:i + 1];
+    # no digit rises past blocks - 1, since that partition has too many blocks
+    cap = n if blocks is None else blocks
     a = [0] * n
+    top = [0] * n
     while True:
-        count = max(a) + 1
+        count = top[-1] + 1
         if blocks is None or count == blocks:
             sets: list[list[int]] = [[] for _ in range(count)]
             for idx, block in enumerate(a):
                 sets[block].append(idx + 1)
             yield tuple(tuple(s) for s in sets)
         i = n - 1
-        while i > 0 and a[i] > max(a[:i]):
+        while i > 0 and (a[i] > top[i - 1] or a[i] + 1 >= cap):
             i -= 1
         if i == 0:
             return
         a[i] += 1
-        for rest in range(i + 1, n):
-            a[rest] = 0
+        t = max(top[i - 1], a[i])
+        top[i:] = [t] * (n - i)
+        a[i + 1:] = [0] * (n - i - 1)
 
 
 def classify_groupings(
@@ -241,13 +307,7 @@ class SpecificationBehavior:
 
     def any_pair_distillable(self, grouping: Grouping) -> bool:
         _check_grouping(self.n, grouping)
-        masks = _grouping_masks(grouping)
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                ok, _ = _verdict(self.n, self.spec.bits, masks, masks[i], masks[j])
-                if ok:
-                    return True
-        return False
+        return not all(_pair_labels(self.n, self.spec.bits, _grouping_masks(grouping)))
 
 
 Requirement = Callable[[SpecificationBehavior], bool]

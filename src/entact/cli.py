@@ -217,6 +217,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.all_groupings:
         if args.assert_ or args.pair:
             raise ValueError("--assert and --pair need a single --grouping")
+        if state.n > args.guard:
+            raise ValueError(
+                f"sweeping all groupings of {state.n} parties is a large enumeration; "
+                f"pass --guard {state.n} to confirm"
+            )
         reports = list(
             classify_groupings(state, guard=args.guard, two_groups_only=args.two_groups_only)
         )
@@ -244,7 +249,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rep = grouping_report(state, grouping)
     if args.pair:
         first, second = args.pair
-        pv = rep.pair(grouping.group_of(first), grouping.group_of(second))
+        group = grouping.group_of(first)
+        if second in group:
+            raise ValueError(
+                f"parties {first} and {second} are in the same group "
+                f"{','.join(map(str, sorted(group)))}"
+            )
+        pv = rep.pair(group, grouping.group_of(second))
         if args.pretty:
             wit = f" (blocked by {pv.witness})" if pv.witness else ""
             word = "distillable" if pv.distillable else "not distillable"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 NORMALIZATION_TOL = 1e-12
@@ -136,6 +137,11 @@ class FamilyState:
         return 1 if self.coefficient(label) < 0.5 * self.delta else 0
 
     def indicator_vector(self) -> tuple[int, ...]:
+        return self._indicators
+
+    @cached_property
+    def _indicators(self) -> tuple[int, ...]:
+        # computed once per instance: a sweep asks for it once per grouping
         half = 0.5 * self.delta
         return tuple(1 if v < half else 0 for v in self.lam)
 

@@ -1,6 +1,8 @@
 """Grouping analysis: pair verdicts, reports, partition sweeps, searches."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from entact import (
@@ -99,8 +101,52 @@ def test_grouping_report_shape():
     assert report.any_distillable == any(p.distillable for p in report.pairs)
     pv = report.pair({3}, {4})
     assert pv.c == frozenset({3}) and pv.d == frozenset({4})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same group 1,2"):
         report.pair({1, 2}, {1, 2})
+
+
+def _reference_ghz(state, grouping):
+    """Largest clique of the pair graph by brute force, from the single-pair path.
+
+    Ties go to the group-index set with the smallest bitmask.
+    """
+    groups = grouping.groups
+    k = len(groups)
+    edges = {
+        (i, j) for i, j in combinations(range(k), 2)
+        if necessary_distillable(state, grouping, groups[i], groups[j])
+    }
+    for size in range(k, 0, -1):
+        cliques = [c for c in combinations(range(k), size)
+                   if all(p in edges for p in combinations(c, 2))]
+        if cliques:
+            best = min(cliques, key=lambda c: sum(1 << i for i in c))
+            return tuple(groups[i] for i in best)
+
+
+CATALOG_STATES = (
+    example_state("I", n=6, j=2),
+    example_state("II", n=6, band=(30, 70)),
+    example_state("III", n=5, group={1, 3, 5}),
+    example_state("IV", n=6, j=2),
+    example_state("V", n=6),
+    example_state("VI"),
+    example_state("VII"),
+)
+
+
+def test_grouping_report_matches_pair_path_and_brute_force_clique():
+    states = list(CATALOG_STATES)
+    states += [random_family_state(n, seed) for n in range(3, 8) for seed in range(3)]
+    for state in states:
+        for part in iter_set_partitions(state.n):
+            grouping = Grouping.from_sets(state.n, part)
+            report = grouping_report(state, grouping)
+            assert [(pv.c, pv.d) for pv in report.pairs] == list(combinations(grouping.groups, 2))
+            for pv in report.pairs:
+                assert pv.witness == distillation_witness(state, grouping, pv.c, pv.d)
+                assert pv.distillable == necessary_distillable(state, grouping, pv.c, pv.d)
+            assert report.ghz == _reference_ghz(state, grouping)
 
 
 def test_ghz_groups_is_a_clique():
@@ -126,6 +172,14 @@ def test_iter_set_partitions_counts_and_order():
     assert all(len(part) == 2 for part in two)
     with pytest.raises(ValueError):
         list(iter_set_partitions(0))
+
+
+def test_iter_set_partitions_with_blocks_matches_filtered_walk():
+    for n in range(1, 8):
+        every = list(iter_set_partitions(n))
+        for blocks in range(1, n + 3):
+            want = [part for part in every if len(part) == blocks]
+            assert list(iter_set_partitions(n, blocks)) == want
 
 
 def test_classify_groupings_covers_every_partition():

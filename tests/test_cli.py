@@ -193,6 +193,11 @@ def test_analyze_all_groupings_sweep(vi_state_file, capsys):
         capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--assert"
     )
     assert rc == 2 and "error:" in err
+    rc, out, err = run(
+        capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--guard", "3"
+    )
+    assert rc == 2 and out == ""
+    assert "pass --guard 4 to confirm" in err
 
 
 def test_analyze_pair_within_one_group(vi_state_file, capsys):
@@ -201,6 +206,7 @@ def test_analyze_pair_within_one_group(vi_state_file, capsys):
         "--grouping", "1,2|3|4", "--pair", "1", "2",
     )
     assert rc == 2 and "error:" in err
+    assert "parties 1 and 2 are in the same group 1,2" in err
 
 
 def test_protocol_json_success(vi_state_file, capsys):
