@@ -75,7 +75,10 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[frozenset[int], fro
         if s not in grouping.groups:
             raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
     if cset == dset:
-        raise ValueError("c and d must be different groups")
+        raise ValueError(
+            f"c and d are the same group {','.join(map(str, sorted(cset)))}; "
+            "a pair needs two different groups"
+        )
     return cset, dset
 
 

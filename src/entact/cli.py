@@ -120,20 +120,38 @@ def _load_specification(path: str) -> Specification:
     return Specification.from_mapping(n, mapping)
 
 
+def _parse_parties(text: str, where: str) -> list[int]:
+    """Comma list of party numbers; errors name the item and `where` it came from."""
+    members = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            raise ValueError(f"empty party in {where}")
+        try:
+            members.append(int(item))
+        except ValueError:
+            raise ValueError(f"bad party {item!r} in {where}") from None
+    return members
+
+
 def _parse_grouping(n: int, text: str) -> Grouping:
-    groups = []
-    for chunk in text.split("|"):
-        members = []
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                raise ValueError(f"empty party in grouping {text!r}")
-            try:
-                members.append(int(item))
-            except ValueError:
-                raise ValueError(f"bad party {item!r} in grouping {text!r}") from None
-        groups.append(members)
-    return Grouping.from_sets(n, groups)
+    where = f"grouping {text!r}"
+    return Grouping.from_sets(n, [_parse_parties(chunk, where) for chunk in text.split("|")])
+
+
+def _pair_groups(grouping: Grouping, pair: list[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The two groups named by `--pair I J`, which must be parties in different groups."""
+    first, second = pair
+    for party in pair:
+        if not 1 <= party <= grouping.n:
+            raise ValueError(f"--pair party {party} is outside 1..{grouping.n}")
+    group = grouping.group_of(first)
+    if second in group:
+        raise ValueError(
+            f"parties {first} and {second} are in the same group "
+            f"{','.join(map(str, sorted(group)))}"
+        )
+    return group, grouping.group_of(second)
 
 
 def _splitting_fields(split) -> dict[str, Any]:
@@ -185,7 +203,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         band = tuple(args.band) if args.band is not None else None
         group = None
         if args.group is not None:
-            group = [int(p) for p in args.group.split(",")]
+            group = _parse_parties(args.group, f"--group {args.group!r}")
         state = example_state(
             args.example,
             args.n,
@@ -248,14 +266,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     grouping = _parse_grouping(state.n, args.grouping)
     rep = grouping_report(state, grouping)
     if args.pair:
-        first, second = args.pair
-        group = grouping.group_of(first)
-        if second in group:
-            raise ValueError(
-                f"parties {first} and {second} are in the same group "
-                f"{','.join(map(str, sorted(group)))}"
-            )
-        pv = rep.pair(group, grouping.group_of(second))
+        pv = rep.pair(*_pair_groups(grouping, args.pair))
         if args.pretty:
             wit = f" (blocked by {pv.witness})" if pv.witness else ""
             word = "distillable" if pv.distillable else "not distillable"
@@ -329,10 +340,7 @@ def _trace_fields(trace: PipelineTrace, with_states: bool) -> dict[str, Any]:
 def _cmd_protocol(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     grouping = _parse_grouping(state.n, args.grouping)
-    first, second = args.pair
-    trace = distill_pipeline(
-        state, grouping, grouping.group_of(first), grouping.group_of(second)
-    )
+    trace = distill_pipeline(state, grouping, *_pair_groups(grouping, args.pair))
     if args.pretty:
         for step in trace.steps:
             extra = f"  [{step.digest}]" if len(step.digest) <= 32 else ""

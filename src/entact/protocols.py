@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analysis import _resolve_pair, distillation_witness
+from .analysis import distillation_witness
 from .model import FamilyState, Grouping, Splitting, _check_party_set, party_bitmask
 
 AMPLIFY_CAP = 64
@@ -87,20 +87,19 @@ def required_amplification(state: FamilyState, party: int) -> int:
     )
 
 
-def measure_out_party(state: FamilyState, party: int, auto_amplify: bool = True) -> FamilyState:
+def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     """Measure one non-anchor party in the balanced basis, keep the even outcome.
 
     The surviving parties close ranks: labels above `party` shift down
     one position.  Each child coefficient is the sum of its two parents,
     and both corner weights absorb the coefficient of the label that
     isolated the measured party, so the corner gap and the total weight
-    are preserved exactly; no renormalization happens.  With
-    auto_amplify the state is first amplified by required_amplification
-    so children of two distillable parents stay distillable.
+    are preserved exactly; no renormalization happens.  The merge is
+    exact and does no amplification: to keep children of two
+    distillable parents distillable, amplify by required_amplification
+    first, as distill_pipeline does.
     """
     _check_measurable(state, party)
-    if auto_amplify:
-        state = amplify(state, required_amplification(state, party))
     absorbed = state.lam[(1 << (party - 1)) - 1]
     lam = tuple(
         state.lam[_insert_bit(child, party, 0) - 1]
@@ -207,11 +206,15 @@ class PipelineStep:
     kind: str
     note: str
     state: FamilyState
-    digest: str
     party: int | None = None
     amplification: int | None = None
     order: tuple[int, ...] | None = None
     parties: tuple[int, ...] | None = None
+
+    @property
+    def digest(self) -> str:
+        """The state's indicator vector as a 0/1 string, label 1 first."""
+        return "".join(map(str, self.state.indicator_vector()))
 
 
 @dataclass(frozen=True)
@@ -228,10 +231,6 @@ class PipelineTrace:
     final_split: Splitting | None
 
 
-def _digest(state: FamilyState) -> str:
-    return "".join(str(b) for b in state.indicator_vector())
-
-
 def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTrace:
     """Run the activation protocol for one pair of groups, end to end.
 
@@ -242,9 +241,9 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
     the remaining c-d splitting to its effective pair.  Whenever the
     verdict holds this ends in a distillable pair.
     """
-    cset, dset = _resolve_pair(state.n, grouping, c, d)
-
-    steps = [PipelineStep("start", f"input state on {state.n} parties", state, _digest(state))]
+    cset = frozenset(c)
+    dset = frozenset(d)
+    steps = [PipelineStep("start", f"input state on {state.n} parties", state)]
     witness = distillation_witness(state, grouping, cset, dset)
     if witness is not None:
         return PipelineTrace(grouping, cset, dset, False, tuple(steps), witness, None, None)
@@ -259,60 +258,47 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
                 "join",
                 f"joint filter on parties {','.join(map(str, sorted(g)))}",
                 cur,
-                _digest(cur),
                 parties=tuple(sorted(g)),
             )
         )
 
     n = cur.n
-    cur_c = set(cset)
-    cur_d = set(dset)
-    if n not in cur_c:
-        low = min(cur_c)
-        order = tuple(n if q == low else low if q == n else q for q in range(1, n + 1))
+    order = tuple(range(1, n + 1))
+    if n not in cset:
+        low = min(cset)
+        order = tuple(n if q == low else low if q == n else q for q in order)
         cur = permute_parties(cur, order)
-        swap = {low: n, n: low}
-        cur_c = {swap.get(q, q) for q in cur_c}
-        cur_d = {swap.get(q, q) for q in cur_d}
         steps.append(
             PipelineStep(
                 "permute",
                 f"swapped parties {low} and {n} so the anchor sits in c",
                 cur,
-                _digest(cur),
                 order=order,
             )
         )
 
-    helpers = sorted(
-        (q for q in range(1, n + 1) if q not in cur_c and q not in cur_d), reverse=True
-    )
-    for helper in helpers:
+    # order swaps two parties, so it also maps each old party to its new one
+    kept = sorted(order[q - 1] for q in cset | dset)
+    for helper in (q for q in range(n, 0, -1) if q not in kept):
         power = required_amplification(cur, helper)
-        if power > 1:
-            cur = amplify(cur, power)
-        cur = measure_out_party(cur, helper, auto_amplify=False)
+        cur = measure_out_party(amplify(cur, power), helper)
         steps.append(
             PipelineStep(
                 "measure",
                 f"measured helper {helper} out (amplification {power})",
                 cur,
-                _digest(cur),
                 party=helper,
                 amplification=power,
             )
         )
-        cur_c = {q - 1 if q > helper else q for q in cur_c}
-        cur_d = {q - 1 if q > helper else q for q in cur_d}
 
-    mask = 0
-    for q in cur_d:
-        mask |= 1 << (q - 1)
-    final_split = Splitting(cur.n, mask)
-    outcome = project_to_effective_pair(cur, final_split)
-    steps.append(
-        PipelineStep("project", f"collapsed the pair across {final_split}", cur, _digest(cur))
+    # the survivors close ranks, so each keeps its rank among them as its label
+    dnew = {order[q - 1] for q in dset}
+    final_split = Splitting(
+        cur.n, party_bitmask(rank for rank, q in enumerate(kept, start=1) if q in dnew)
     )
+    outcome = project_to_effective_pair(cur, final_split)
+    steps.append(PipelineStep("project", f"collapsed the pair across {final_split}", cur))
     return PipelineTrace(
         grouping, cset, dset, outcome.distillable, tuple(steps), None, outcome, final_split
     )

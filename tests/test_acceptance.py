@@ -466,7 +466,7 @@ def check_measurement_merge():
         for party in (1, 2, 3, 4):
             m = required_amplification(state, party)
             base = amplify(state, m)
-            child = measure_out_party(state, party)
+            child = measure_out_party(base, party)
             _require(abs(child.delta - base.delta) <= MASS_TOL,
                      f"corner gap moved (seed {seed}, party {party})")
             _require(abs(child.total_weight() - 1.0) <= MASS_TOL,
@@ -610,7 +610,7 @@ def check_dense_protocol_crosschecks():
             tag = f"n={n} seed={seed}"
 
             for party in range(1, n):
-                fam = measure_out_party(state, party, auto_amplify=False)
+                fam = measure_out_party(state, party)
                 back = coefficients_from_density(measure_plus_dense(mat, party))
                 _states_close(fam, back, f"measure party {party}, {tag}")
 

@@ -134,6 +134,12 @@ def test_construct_pattern_parameter_errors(capsys):
         main(["construct", "--example", "VI", "--random"])
 
 
+def test_construct_group_names_bad_party(capsys):
+    rc, out, err = run(capsys, "construct", "--example", "III", "--n", "5", "--group", "1,x")
+    assert rc == 2 and out == ""
+    assert "bad party 'x' in --group '1,x'" in err
+
+
 def test_analyze_pair_verdict(vi_state_file, capsys):
     rc, out, _ = run(
         capsys, "analyze", "--state", vi_state_file,
@@ -207,6 +213,22 @@ def test_analyze_pair_within_one_group(vi_state_file, capsys):
     )
     assert rc == 2 and "error:" in err
     assert "parties 1 and 2 are in the same group 1,2" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "protocol"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("1", "2"), "parties 1 and 2 are in the same group 1,2"),
+        (("1", "9"), "--pair party 9 is outside 1..4"),
+    ],
+)
+def test_pair_errors_name_the_fault(vi_state_file, capsys, command, pair, message):
+    rc, out, err = run(
+        capsys, command, "--state", vi_state_file, "--grouping", "1,2|3|4", "--pair", *pair,
+    )
+    assert rc == 2 and out == ""
+    assert f"error: {message}" in err
 
 
 def test_protocol_json_success(vi_state_file, capsys):

@@ -117,7 +117,7 @@ def test_measure_dense_matches_family_route():
     from entact import measure_out_party
 
     state = random_family_state(4, seed=3)
-    fam = measure_out_party(state, 2, auto_amplify=False)
+    fam = measure_out_party(state, 2)
     out = measure_plus_dense(build_density(state), 2)
     assert out.shape == (8, 8)
     assert np.isclose(np.trace(out), 1.0)
