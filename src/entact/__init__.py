@@ -12,7 +12,6 @@ from .analysis import (
     BUILTIN_REQUIREMENTS,
     GroupingReport,
     PairVerdict,
-    SpecificationBehavior,
     any_two_activation_requirement,
     classify_groupings,
     distillation_witness,
@@ -71,7 +70,6 @@ __all__ = [
     "PipelineStep",
     "PipelineTrace",
     "Specification",
-    "SpecificationBehavior",
     "Splitting",
     "amplify",
     "any_two_activation_requirement",

@@ -83,28 +83,39 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[frozenset[int], fro
 
 
 def _pair_verdict(
-    n: int, indicator: Sequence[int], grouping: Grouping, c, d
+    state: FamilyState | Specification, grouping: Grouping, c, d
 ) -> tuple[bool, int | None]:
-    cset, dset = _resolve_pair(n, grouping, c, d)
+    cset, dset = _resolve_pair(state.n, grouping, c, d)
     return _verdict(
-        n, indicator, _grouping_masks(grouping), party_bitmask(cset), party_bitmask(dset)
+        state.n,
+        state.indicator_vector(),
+        _grouping_masks(grouping),
+        party_bitmask(cset),
+        party_bitmask(dset),
     )
 
 
-def necessary_distillable(state: FamilyState, grouping: Grouping, c, d) -> bool:
+def necessary_distillable(state: FamilyState | Specification, grouping: Grouping, c, d) -> bool:
     """Can groups c and d of `grouping` distill a pair between them?
 
     True when every splitting separating c from d is either distillable
     itself or straddled by some group of the grouping.  The condition is
     clearly necessary; for this family the protocol layer realizes it,
-    so it is the exact answer.
+    so it is the exact answer.  It depends on the indicator vector
+    alone, so a Specification gives the verdict of every state that
+    realizes it.
     """
-    return _pair_verdict(state.n, state.indicator_vector(), grouping, c, d)[0]
+    return _pair_verdict(state, grouping, c, d)[0]
 
 
-def distillation_witness(state: FamilyState, grouping: Grouping, c, d) -> Splitting | None:
-    """Lowest-label splitting blocking the pair, or None when none does."""
-    _, label = _pair_verdict(state.n, state.indicator_vector(), grouping, c, d)
+def distillation_witness(
+    state: FamilyState | Specification, grouping: Grouping, c, d
+) -> Splitting | None:
+    """Lowest-label splitting blocking the pair, or None when none does.
+
+    Like every verdict, it reads the indicator vector alone.
+    """
+    _, label = _pair_verdict(state, grouping, c, d)
     return None if label is None else Splitting(state.n, label)
 
 
@@ -131,17 +142,8 @@ class GroupingReport:
         return any(p.distillable for p in self.pairs)
 
     def pair(self, c, d) -> PairVerdict:
-        cset = frozenset(c)
-        dset = frozenset(d)
-        if cset == dset:
-            raise ValueError(
-                f"c and d are the same group {','.join(map(str, sorted(cset)))}; "
-                "a pair needs two different groups"
-            )
-        for pv in self.pairs:
-            if {pv.c, pv.d} == {cset, dset}:
-                return pv
-        raise ValueError(f"no pair ({sorted(cset)}, {sorted(dset)}) in this report")
+        cset, dset = _resolve_pair(self.grouping.n, self.grouping, c, d)
+        return next(pv for pv in self.pairs if {pv.c, pv.d} == {cset, dset})
 
 
 def _pair_labels(
@@ -205,12 +207,14 @@ def _largest_clique(adj: Sequence[int]) -> int:
     return best
 
 
-def grouping_report(state: FamilyState, grouping: Grouping) -> GroupingReport:
+def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> GroupingReport:
     """Verdict for every pair of groups, plus the largest GHZ-capable clique.
 
     A collection of groups can share a GHZ-type state exactly when every
     pair in the collection is distillable, so the `ghz` field is the
     largest clique in the pair graph (smallest such clique on ties).
+    The report depends on the indicator vector alone, as every verdict
+    does.
     """
     _check_grouping(state.n, grouping)
     groups = grouping.groups
@@ -266,12 +270,13 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
 
 
 def classify_groupings(
-    state: FamilyState, *, guard: int = 10, two_groups_only: bool = False
+    state: FamilyState | Specification, *, guard: int = 10, two_groups_only: bool = False
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
-    The number of set partitions grows very fast, hence the guard on the
-    party count; raise it knowingly.
+    The reports read the indicator vector alone.  The number of set
+    partitions grows very fast, hence the guard on the party count;
+    raise it knowingly.
     """
     if state.n > guard:
         raise ValueError(
@@ -283,37 +288,7 @@ def classify_groupings(
         yield grouping_report(state, Grouping.from_sets(state.n, part))
 
 
-@dataclass(frozen=True)
-class SpecificationBehavior:
-    """Evaluate grouping verdicts directly on a specification's bits.
-
-    Any state realizing the specification has exactly these indicator
-    values, and the verdicts depend on nothing else, so conclusions
-    drawn here hold for every such state.
-    """
-
-    spec: Specification
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def indicator(self, label: int) -> int:
-        return self.spec.value(label)
-
-    def entangled(self) -> bool:
-        """For this family, some splitting distillable is the same as not fully separable."""
-        return any(self.spec.bits)
-
-    def verdict(self, grouping: Grouping, c, d) -> bool:
-        return _pair_verdict(self.n, self.spec.bits, grouping, c, d)[0]
-
-    def any_pair_distillable(self, grouping: Grouping) -> bool:
-        _check_grouping(self.n, grouping)
-        return not all(_pair_labels(self.n, self.spec.bits, _grouping_masks(grouping)))
-
-
-Requirement = Callable[[SpecificationBehavior], bool]
+Requirement = Callable[[Specification], bool]
 
 
 @dataclass(frozen=True)
@@ -322,8 +297,8 @@ class Clauses:
 
     Every label in `ones` must be 1, and every mask in `zeros` must hold
     at least one 0.  The layout is that of Specification.to_int, so a
-    search tests candidates as plain integers.  Called on a behavior the
-    object is a Requirement like any other.
+    search tests candidates as plain integers.  Called on a Specification
+    the object is a Requirement like any other.
     """
 
     n: int
@@ -334,9 +309,9 @@ class Clauses:
         ones = self.ones
         return value & ones == ones and all(value & z != z for z in self.zeros)
 
-    def __call__(self, behavior: SpecificationBehavior) -> bool:
-        self._check_n(behavior.n)
-        return self.holds(behavior.spec.to_int())
+    def __call__(self, spec: Specification) -> bool:
+        self._check_n(spec.n)
+        return self.holds(spec.to_int())
 
     def _check_n(self, n: int) -> None:
         if n != self.n:
@@ -425,7 +400,7 @@ def search_specifications(
     starting from all-ones, so the first hit concedes separability on as
     few splittings as possible.  Returns None when the requirement is
     unsatisfiable.  Compiled Clauses are tested on the bare integers;
-    any other requirement sees a SpecificationBehavior per candidate.
+    any other requirement is called on each candidate Specification.
     The candidate count doubles with every label, hence the guard;
     raising max_n past 5 is the caller's own risk.
     """
@@ -436,7 +411,7 @@ def search_specifications(
         test = requirement.holds
     else:
         def test(value: int) -> bool:
-            return requirement(SpecificationBehavior(Specification.from_int(n, value)))
+            return requirement(Specification.from_int(n, value))
     if n > max_n:
         labels = (1 << (n - 1)) - 1
         raise ValueError(

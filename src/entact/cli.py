@@ -52,15 +52,18 @@ def state_document(state: FamilyState) -> dict[str, Any]:
 def state_from_document(doc: Any) -> FamilyState:
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
-    if doc.get("schema") != STATE_SCHEMA:
-        raise ValueError(f"unsupported state schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != STATE_SCHEMA:
+        raise ValueError(f"unsupported state schema {schema!r}")
     missing = {"n", "lam0_plus", "lam0_minus", "lam"} - set(doc)
     if missing:
         raise ValueError(f"state document lacks {', '.join(sorted(missing))}")
     n = doc["n"]
     lam = doc["lam"]
-    if not isinstance(n, int) or not isinstance(lam, list):
-        raise ValueError("state document has n of wrong type or lam is not a list")
+    if type(n) is not int:
+        raise ValueError(f"state document: n is {n!r}, not an integer")
+    if not isinstance(lam, list):
+        raise ValueError("state document: lam is not a list")
     fields = [("lam0_plus", doc["lam0_plus"]), ("lam0_minus", doc["lam0_minus"])]
     fields += [(f"lam[{i}]", v) for i, v in enumerate(lam)]
     numbers = []
@@ -105,10 +108,9 @@ def _load_specification(path: str) -> Specification:
         raise ValueError(f"specification file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "bits" not in doc:
         raise ValueError("specification file must hold an object with n and bits")
-    n = doc["n"]
     bits = doc["bits"]
-    if not isinstance(n, int) or not isinstance(bits, dict):
-        raise ValueError("specification file needs integer n and a bits object")
+    if not isinstance(bits, dict):
+        raise ValueError("specification file needs a bits object")
     mapping = {}
     for key, value in bits.items():
         if type(value) is not int or value not in (0, 1):
@@ -117,7 +119,8 @@ def _load_specification(path: str) -> Specification:
             mapping[int(key)] = value
         except ValueError:
             raise ValueError(f"bits entry {key!r} is not a label") from None
-    return Specification.from_mapping(n, mapping)
+    # from_mapping rejects an n that is not an integer of at least 2
+    return Specification.from_mapping(doc["n"], mapping)
 
 
 def _parse_parties(text: str, where: str) -> list[int]:

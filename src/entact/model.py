@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 NORMALIZATION_TOL = 1e-12
@@ -294,6 +295,13 @@ class Grouping:
         return "|".join(",".join(str(p) for p in sorted(g)) for g in self.groups)
 
 
+def _spec_labels(n: int) -> range:
+    """Labels 1..2^(n-1)-1 of an n-party specification; rejects a bad n."""
+    if type(n) is not int or n < 2:
+        raise ValueError(f"a specification needs an integer n of at least 2, got n={n!r}")
+    return range(1, 1 << (n - 1))
+
+
 @dataclass(frozen=True)
 class Specification:
     """Target indicator value for every splitting label, as a 0/1 table."""
@@ -302,7 +310,7 @@ class Specification:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        want = (1 << (self.n - 1)) - 1
+        want = _spec_labels(self.n).stop - 1
         if len(self.bits) != want:
             raise ValueError(f"need {want} bits for n={self.n}, got {len(self.bits)}")
         if any(type(b) is not int or b not in (0, 1) for b in self.bits):
@@ -310,23 +318,25 @@ class Specification:
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "Specification":
-        return cls(n, tuple(1 if fn(m) else 0 for m in range(1, 1 << (n - 1))))
+        return cls(n, tuple(1 if fn(m) else 0 for m in _spec_labels(n)))
 
     @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Specification":
-        want = set(range(1, 1 << (n - 1)))
-        got = set(mapping)
-        if got != want:
+        labels = _spec_labels(n)
+        unknown = sorted(m for m in mapping if m not in labels)
+        if unknown or len(mapping) != labels.stop - 1:
+            # scan labels lazily: a large n must fail fast, not build all 2^(n-1) labels
+            missing = list(islice((m for m in labels if m not in mapping), 8))
             raise ValueError(
-                f"mapping must cover every label 1..{(1 << (n - 1)) - 1}"
-                + (f"; missing {sorted(want - got)[:8]}" if want - got else "")
-                + (f"; unknown {sorted(got - want)[:8]}" if got - want else "")
+                f"mapping must cover every label 1..{labels.stop - 1}"
+                + (f"; missing {missing}" if missing else "")
+                + (f"; unknown {unknown[:8]}" if unknown else "")
             )
-        return cls(n, tuple(mapping[m] for m in range(1, 1 << (n - 1))))
+        return cls(n, tuple(mapping[m] for m in labels))
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "Specification":
-        return cls(n, tuple(int(bit) for _ in range(1, 1 << (n - 1))))
+        return cls(n, tuple(int(bit) for _ in _spec_labels(n)))
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "Specification":
@@ -336,6 +346,10 @@ class Specification:
         if not 1 <= label <= len(self.bits):
             raise ValueError(f"label {label} outside [1, {len(self.bits)}]")
         return self.bits[label - 1]
+
+    def indicator_vector(self) -> tuple[int, ...]:
+        """The bits, so that a specification stands in for a state in every verdict."""
+        return self.bits
 
     def to_int(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))

@@ -24,7 +24,6 @@ from entact import (
     BUILTIN_REQUIREMENTS,
     Grouping,
     Specification,
-    SpecificationBehavior,
     Splitting,
     amplify,
     classify_groupings,
@@ -104,12 +103,11 @@ def check_size_band_two_group_table():
     state = from_specification(spec)
     _require(state.indicator_vector() == spec.bits,
              "realized state drifts from its specification")
-    b = SpecificationBehavior(spec)
     count = 0
     for part in iter_set_partitions(8, blocks=2):
         sizes = {len(part[0]), len(part[1])}
         want = sizes == {3, 5}
-        got = b.verdict(Grouping.from_sets(8, part), set(part[0]), set(part[1]))
+        got = necessary_distillable(spec, Grouping.from_sets(8, part), set(part[0]), set(part[1]))
         _require(
             got == want,
             f"two-group table wrong at ({_party_list(part[0])}) x ({_party_list(part[1])}): "
@@ -135,16 +133,16 @@ def _union_size_law(sizes, i, j, allowed):
     return unions <= allowed
 
 
-def _check_law_at(b, part, i, j, allowed):
-    grouping = Grouping.from_sets(b.n, part)
+def _check_law_at(spec, part, i, j, allowed):
+    grouping = Grouping.from_sets(spec.n, part)
     c, d = set(part[i]), set(part[j])
     want = _union_size_law([len(blk) for blk in part], i, j, allowed)
-    got = b.verdict(grouping, c, d)
+    got = necessary_distillable(spec, grouping, c, d)
     if got != want:
         raise AssertionError(
             f"under {grouping} the pair ({_party_list(c)}) x ({_party_list(d)}) gives "
             f"{got}, but the union-size law gives {want}:\n"
-            + _explain_activation(b, grouping, c, d)
+            + _explain_activation(spec, grouping, c, d)
         )
     return got
 
@@ -156,7 +154,7 @@ def check_size_band_multigroup_law():
     pair verdicts) are checked against the verdict layer.  The law
     activates exactly the 280 partitions of shape 3|3|2, and in each one
     only the two triples distill."""
-    b = SpecificationBehavior(example_pattern("I", n=8, j=3))
+    spec = example_pattern("I", n=8, j=3)
     partitions = verdicts = activating = 0
     for part in iter_set_partitions(8):
         if len(part) < 3:
@@ -166,7 +164,7 @@ def check_size_band_multigroup_law():
         active = []
         for i in range(len(part)):
             for j in range(i + 1, len(part)):
-                if _check_law_at(b, part, i, j, {3, 5}):
+                if _check_law_at(spec, part, i, j, {3, 5}):
                     active.append((sizes[i], sizes[j]))
                 verdicts += 1
         if active:
@@ -182,10 +180,10 @@ def check_size_band_multigroup_law():
              f"expected the 280 partitions of shape 3|3|2 to activate, saw {activating}")
 
 
-def _explain_activation(b, grouping, c, d):
+def _explain_activation(spec, grouping, c, d):
     lines = []
-    for sp in separating_splittings(b.n, c, d):
-        if b.indicator(sp.mask):
+    for sp in separating_splittings(spec.n, c, d):
+        if spec.value(sp.mask):
             status = "distillable"
         else:
             grp = next((g for g in grouping.groups if straddles(sp, g)), None)
@@ -208,12 +206,11 @@ def check_percent_band_two_group_table():
     state = from_specification(spec)
     _require(state.indicator_vector() == spec.bits,
              "realized state drifts from its specification")
-    b = SpecificationBehavior(spec)
     count = 0
     for part in iter_set_partitions(10, blocks=2):
         sizes = {len(part[0]), len(part[1])}
         want = sizes in ({4, 6}, {5})
-        got = b.verdict(Grouping.from_sets(10, part), set(part[0]), set(part[1]))
+        got = necessary_distillable(spec, Grouping.from_sets(10, part), set(part[0]), set(part[1]))
         _require(
             got == want,
             f"two-group table wrong at sizes {sorted(sizes)}: got {got}, expected {want}",
@@ -275,13 +272,12 @@ def check_percent_band_multigroup_law():
         side = label.bit_count()
         _require(spec.value(label) == (4 <= side <= 6),
                  f"label {label} with a side of {side} parties breaks the size-only band")
-    b = SpecificationBehavior(spec)
     allowed = {4, 5, 6}
     signatures = 0
     active = set()
     for part, i, j in _size_signature_cases(10, min_groups=3):
         signatures += 1
-        if _check_law_at(b, part, i, j, allowed):
+        if _check_law_at(spec, part, i, j, allowed):
             sizes = tuple(len(blk) for blk in part)
             active.add((sizes, (sizes[i], sizes[j])))
     _require(signatures == 109, f"expected 109 size signatures, saw {signatures}")
@@ -292,7 +288,7 @@ def check_percent_band_multigroup_law():
     }
     _require(active == want, f"activating signatures {sorted(active)}, expected {sorted(want)}")
     for part in PERCENT_BAND_WITNESSES:
-        _require(_check_law_at(b, part, 0, 1, allowed),
+        _require(_check_law_at(spec, part, 0, 1, allowed),
                  f"witness {Grouping.from_sets(10, part)} should activate its first two groups")
 
 
@@ -321,7 +317,6 @@ def check_trimmed_band_catalog():
     pair of groups distills exactly when both groups hold at least three
     parties, across every one of the 4140 partitions."""
     spec = example_pattern("IV", n=8, j=3)
-    b = SpecificationBehavior(spec)
     _require(from_specification(spec).indicator_vector() == spec.bits,
              "realized state drifts from its specification")
     checked = 0
@@ -330,7 +325,7 @@ def check_trimmed_band_catalog():
         for i in range(len(part)):
             for j in range(i + 1, len(part)):
                 want = len(part[i]) >= 3 and len(part[j]) >= 3
-                got = b.verdict(grouping, set(part[i]), set(part[j]))
+                got = necessary_distillable(spec, grouping, set(part[i]), set(part[j]))
                 _require(
                     got == want,
                     f"under {grouping} the pair ({_party_list(part[i])}) x "
@@ -346,27 +341,28 @@ def check_extreme_size_catalog():
     activates exactly the two leftovers, and no partition whose largest
     group keeps below n-2 parties activates anything.  A scaled 8-party
     run repeats the join."""
-    b = SpecificationBehavior(example_pattern("V", n=6))
-    _require(not b.any_pair_distillable(Grouping.all_separate(6)),
+    spec = example_pattern("V", n=6)
+    _require(not grouping_report(spec, Grouping.all_separate(6)).any_distillable,
              "separate parties should distill nothing")
     g = Grouping.with_joined(6, (1, 2, 3, 4))
-    _require(b.verdict(g, {5}, {6}), "joining {1,2,3,4} should activate (5) x (6)")
-    _require(not b.verdict(g, {1, 2, 3, 4}, {5}),
+    _require(necessary_distillable(spec, g, {5}, {6}),
+             "joining {1,2,3,4} should activate (5) x (6)")
+    _require(not necessary_distillable(spec, g, {1, 2, 3, 4}, {5}),
              "the joined group itself should stay cut off from party 5")
-    _require(not b.verdict(g, {1, 2, 3, 4}, {6}),
+    _require(not necessary_distillable(spec, g, {1, 2, 3, 4}, {6}),
              "the joined group itself should stay cut off from party 6")
     for part in iter_set_partitions(6):
         if max(len(blk) for blk in part) <= 3 and len(part) >= 2:
             grouping = Grouping.from_sets(6, part)
-            if b.any_pair_distillable(grouping):
+            if grouping_report(spec, grouping).any_distillable:
                 raise AssertionError(
                     f"groups of at most 3 of 6 parties should activate nothing, "
                     f"but {grouping} does"
                 )
     # (scaled)
-    b8 = SpecificationBehavior(example_pattern("V", n=8))
+    spec8 = example_pattern("V", n=8)
     _require(
-        b8.verdict(Grouping.with_joined(8, tuple(range(1, 7))), {7}, {8}),
+        necessary_distillable(spec8, Grouping.with_joined(8, tuple(range(1, 7))), {7}, {8}),
         "(scaled) joining {1..6} of 8 should activate (7) x (8)",
     )
 
@@ -395,30 +391,29 @@ def check_five_party_catalog():
     _require(spec.ones() == (1, 2, 6, 9, 10, 13, 14),
              f"frozen label set wrong: {spec.ones()}")
     _require(spec.to_int() == 13091, f"frozen packed value wrong: {spec.to_int()}")
-    b = SpecificationBehavior(spec)
-    _require(b.entangled(), "the pattern should be entangled")
-    _require(not b.any_pair_distillable(Grouping.all_separate(5)),
+    _require(any(spec.bits), "the pattern should be entangled")
+    _require(not grouping_report(spec, Grouping.all_separate(5)).any_distillable,
              "separate parties should distill nothing")
-    _require(b.verdict(Grouping.with_joined(5, (3, 4)), {1}, {2}),
+    _require(necessary_distillable(spec, Grouping.with_joined(5, (3, 4)), {1}, {2}),
              "joining {3,4} should activate (1) x (2)")
-    _require(b.verdict(Grouping.with_joined(5, (3, 5)), {1}, {2}),
+    _require(necessary_distillable(spec, Grouping.with_joined(5, (3, 5)), {1}, {2}),
              "joining {3,5} should activate (1) x (2)")
-    _require(not b.any_pair_distillable(Grouping.with_joined(5, (4, 5))),
+    _require(not grouping_report(spec, Grouping.with_joined(5, (4, 5))).any_distillable,
              "joining {4,5} should activate nothing")
     for m in range(1, 16):
         if (m & 1) == (m >> 1 & 1):
-            _require(b.indicator(m) == 0,
+            _require(spec.value(m) == 0,
                      f"splitting label {m} keeps 1 and 2 together and must be separable")
 
 
 def check_scaled_size_band_table():
     """Criterion 3h (scaled): the size-band shape at n=6, j=2 repeats the
     two-group law, distilling exactly at group sizes 2 and 4."""
-    b = SpecificationBehavior(example_pattern("I", n=6, j=2))
+    spec = example_pattern("I", n=6, j=2)
     count = 0
     for part in iter_set_partitions(6, blocks=2):
         want = {len(part[0]), len(part[1])} == {2, 4}
-        got = b.verdict(Grouping.from_sets(6, part), set(part[0]), set(part[1]))
+        got = necessary_distillable(spec, Grouping.from_sets(6, part), set(part[0]), set(part[1]))
         _require(got == want, f"(scaled) table wrong at ({part[0]}) x ({part[1]})")
         count += 1
     _require(count == 31, f"expected 31 two-group partitions, saw {count}")
@@ -674,20 +669,21 @@ def check_specification_searches():
     requirement unsatisfiable over five parties by exhaustion, and returns
     the all-ones pattern first when everything qualifies."""
     found = search_specifications(5, BUILTIN_REQUIREMENTS["example-vii"]())
-    _require(found is not None, "behavior search found nothing")
+    _require(found is not None, "specification search found nothing")
     _require(found == example_pattern("VII"),
-             f"behavior search landed on {found.ones()} instead of the catalog pattern")
+             f"specification search landed on {found.ones()} instead of the catalog pattern")
     _require(search_specifications(5, BUILTIN_REQUIREMENTS["any-two"]()) is None,
              "the any-two requirement should be unsatisfiable over five parties")
-    _require(search_specifications(4, lambda b: True) == Specification.constant(4, 1),
+    _require(search_specifications(4, lambda spec: True) == Specification.constant(4, 1),
              "descending order should hit the all-ones pattern first")
 
 
 # criterion 10 --------------------------------------------------------------
 
-def _first_activating(b, partitions):
+def _first_activating(spec, partitions):
     return next((part for part in partitions
-                 if len(part) >= 3 and b.any_pair_distillable(Grouping.from_sets(b.n, part))),
+                 if len(part) >= 3
+                 and grouping_report(spec, Grouping.from_sets(spec.n, part)).any_distillable),
                 None)
 
 
@@ -701,25 +697,23 @@ def check_multigroup_counterexamples():
     oracle finds a negative partial transpose on each unstraddled
     separating splitting (the dense route stops at 8 parties)."""
     spec8 = example_pattern("I", n=8, j=3)
-    b8 = SpecificationBehavior(spec8)
-    first8 = _first_activating(b8, iter_set_partitions(8))
+    first8 = _first_activating(spec8, iter_set_partitions(8))
     _require(first8 == ((1, 2, 3), (4, 5, 6), (7, 8)),
              f"first activating 8-party partition is {first8}")
     g8 = Grouping.from_sets(8, first8)
     active = [(i, j) for i in range(3) for j in range(i + 1, 3)
-              if b8.verdict(g8, first8[i], first8[j])]
+              if necessary_distillable(spec8, g8, first8[i], first8[j])]
     _require(active == [(0, 1)], f"{g8} activates pairs {active}, expected only the triples")
 
     spec10 = example_pattern("II", n=10, band=(40, 60))
-    b10 = SpecificationBehavior(spec10)
-    first10 = _first_activating(b10, PERCENT_BAND_WITNESSES)
+    first10 = _first_activating(spec10, PERCENT_BAND_WITNESSES)
     _require(first10 == PERCENT_BAND_WITNESSES[0],
              f"first activating witness is {first10}")
 
-    for spec, b, part in ((spec8, b8, first8), (spec10, b10, first10)):
+    for spec, part in ((spec8, first8), (spec10, first10)):
         grouping = Grouping.from_sets(spec.n, part)
         c, d = set(part[0]), set(part[1])
-        explanation = _explain_activation(b, grouping, c, d)
+        explanation = _explain_activation(spec, grouping, c, d)
         _require("BLOCKING" not in explanation,
                  f"a splitting blocks the pair under {grouping}:\n{explanation}")
         trace = distill_pipeline(from_specification(spec), grouping, c, d)

@@ -1,6 +1,7 @@
 """Grouping analysis: pair verdicts, reports, partition sweeps, searches."""
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,6 @@ from entact import (
     FamilyState,
     Grouping,
     Specification,
-    SpecificationBehavior,
     classify_groupings,
     distillation_witness,
     example_pattern,
@@ -103,6 +103,9 @@ def test_grouping_report_shape():
     assert pv.c == frozenset({3}) and pv.d == frozenset({4})
     with pytest.raises(ValueError, match="same group 1,2"):
         report.pair({1, 2}, {1, 2})
+    other = grouping_report(example_state("VI"), Grouping.from_sets(4, [[1], [2], [3, 4]]))
+    with pytest.raises(ValueError, match=r"c=\[1, 3\] is not a group of 1\|2\|3,4"):
+        other.pair({1, 3}, {2})
 
 
 def _reference_ghz(state, grouping):
@@ -208,61 +211,80 @@ def test_classify_two_groups_only():
 
 def test_specification_behavior_matches_realized_state():
     spec = example_pattern("VII")
-    b = SpecificationBehavior(spec)
-    assert b.n == 5
-    assert b.entangled()
-    assert b.indicator(1) == 1 and b.indicator(3) == 0
-    assert not b.any_pair_distillable(Grouping.all_separate(5))
+    assert spec.n == 5
+    assert any(spec.bits)
+    assert spec.value(1) == 1 and spec.value(3) == 0
+    assert not grouping_report(spec, Grouping.all_separate(5)).any_distillable
     state = from_specification(spec)
     for part in iter_set_partitions(5):
         g = Grouping.from_sets(5, part)
-        assert b.any_pair_distillable(g) == grouping_report(state, g).any_distillable
+        assert grouping_report(spec, g).any_distillable == grouping_report(state, g).any_distillable
     g34 = Grouping.with_joined(5, (3, 4))
-    assert b.verdict(g34, {1}, {2}) == necessary_distillable(state, g34, {1}, {2})
-    assert b.verdict(g34, {1}, {2}) is True
+    assert necessary_distillable(spec, g34, {1}, {2}) == necessary_distillable(state, g34, {1}, {2})
+    assert necessary_distillable(spec, g34, {1}, {2}) is True
+    # whole reports (pairs, witnesses, GHZ clique) agree for the catalog and seeded patterns
+    rng = random.Random(8)
+    patterns = [
+        example_pattern("I", n=6, j=2),
+        example_pattern("II", n=6, band=(30, 70)),
+        example_pattern("III", n=5, group={1, 3, 5}),
+        example_pattern("IV", n=6, j=2),
+        example_pattern("V", n=6),
+        example_pattern("VI"),
+        example_pattern("VII"),
+    ]
+    patterns += [
+        Specification.from_int(n, rng.getrandbits((1 << (n - 1)) - 1))
+        for n in range(3, 7) for _ in range(3)
+    ]
+    for pattern in patterns:
+        realized = from_specification(pattern)
+        for part in iter_set_partitions(pattern.n):
+            g = Grouping.from_sets(pattern.n, part)
+            assert grouping_report(pattern, g) == grouping_report(realized, g), (pattern, g)
 
 
 def test_builtin_requirement_names_and_guards():
     assert set(BUILTIN_REQUIREMENTS) == {"any-two", "example-vii"}
     req = BUILTIN_REQUIREMENTS["example-vii"]()
-    assert req(SpecificationBehavior(example_pattern("VII")))
-    assert not req(SpecificationBehavior(Specification.constant(5, 1)))
-    assert not req(SpecificationBehavior(Specification.constant(5, 0)))
+    assert req(example_pattern("VII"))
+    assert not req(Specification.constant(5, 1))
+    assert not req(Specification.constant(5, 0))
     with pytest.raises(ValueError):
-        req(SpecificationBehavior(Specification.constant(4, 1)))
+        req(Specification.constant(4, 1))
     any_two = BUILTIN_REQUIREMENTS["any-two"]()
-    assert not any_two(SpecificationBehavior(Specification.constant(5, 0)))
+    assert not any_two(Specification.constant(5, 0))
     with pytest.raises(ValueError):
-        any_two(SpecificationBehavior(Specification.constant(4, 1)))
+        any_two(Specification.constant(4, 1))
 
 
 ALL_SEPARATE = Grouping.all_separate(5)
 G34, G35, G45 = (Grouping.with_joined(5, pair) for pair in ((3, 4), (3, 5), (4, 5)))
 
 
-def reference_any_two(b):
+def reference_any_two(spec):
     """The any-two requirement written directly over pair verdicts."""
-    if not b.entangled():
+    if not any(spec.bits):
         return False
-    if b.any_pair_distillable(ALL_SEPARATE):
+    if grouping_report(spec, ALL_SEPARATE).any_distillable:
         return False
-    return all(b.verdict(g, {1}, {2}) for g in (G34, G35, G45))
+    return all(necessary_distillable(spec, g, {1}, {2}) for g in (G34, G35, G45))
 
 
-def reference_example_vii(b):
+def reference_example_vii(spec):
     """The example-vii requirement written directly over pair verdicts."""
     together = tuple(m for m in range(1, 16) if (m & 1) == (m >> 1 & 1))
-    if any(b.indicator(m) for m in together):
+    if any(spec.value(m) for m in together):
         return False
-    if not b.entangled():
+    if not any(spec.bits):
         return False
-    if b.any_pair_distillable(ALL_SEPARATE):
+    if grouping_report(spec, ALL_SEPARATE).any_distillable:
         return False
-    if not b.verdict(G34, {1}, {2}):
+    if not necessary_distillable(spec, G34, {1}, {2}):
         return False
-    if not b.verdict(G35, {1}, {2}):
+    if not necessary_distillable(spec, G35, {1}, {2}):
         return False
-    return not b.any_pair_distillable(G45)
+    return not grouping_report(spec, G45).any_distillable
 
 
 @pytest.mark.parametrize(
@@ -273,23 +295,23 @@ def test_compiled_requirement_matches_reference(name, reference):
     clauses = BUILTIN_REQUIREMENTS[name]()
     assert clauses.n == 5 and clauses.ones
     for value in range(1 << 15):
-        want = reference(SpecificationBehavior(Specification.from_int(5, value)))
+        want = reference(Specification.from_int(5, value))
         assert clauses.holds(value) == want, (name, value)
 
 
 def test_search_returns_descending_first_match():
-    found = search_specifications(4, lambda b: True)
+    found = search_specifications(4, lambda spec: True)
     assert found == Specification.constant(4, 1)
-    assert search_specifications(3, lambda b: False) is None
+    assert search_specifications(3, lambda spec: False) is None
 
 
 def test_search_respects_size_guard():
     with pytest.raises(ValueError):
-        search_specifications(6, lambda b: True)
-    found = search_specifications(6, lambda b: True, max_n=6)
+        search_specifications(6, lambda spec: True)
+    found = search_specifications(6, lambda spec: True, max_n=6)
     assert found == Specification.constant(6, 1)
     with pytest.raises(ValueError):
-        search_specifications(1, lambda b: True)
+        search_specifications(1, lambda spec: True)
     # a compiled requirement names its own party count before the guard
     with pytest.raises(ValueError, match="defined for n=5, not n=6"):
         search_specifications(6, BUILTIN_REQUIREMENTS["any-two"](), max_n=6)

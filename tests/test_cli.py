@@ -100,6 +100,12 @@ def test_construct_from_spec_file(tmp_path, capsys):
         rc, out, err = run(capsys, "construct", "--spec", str(bad))
         assert rc == 2 and out == "" and "is not 0 or 1" in err
 
+    for n in (True, 1, 0, -3):
+        bad.write_text(json.dumps({"n": n, "bits": {}}))
+        rc, out, err = run(capsys, "construct", "--spec", str(bad), "-o", str(tmp_path / "s.json"))
+        assert rc == 2 and out == "" and f"n={n!r}" in err, (n, err)
+        assert not (tmp_path / "s.json").exists()
+
 
 def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
     good = state_document(example_state("VI"))
@@ -116,6 +122,15 @@ def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
         path.write_text(json.dumps({**good, field: value}))
         rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
         assert rc == 2 and out == "" and name in err, (field, value, err)
+    # JSON true is no integer, though Python's True == 1
+    for field, value, message in (
+        ("schema", True, "state schema True"),
+        ("n", True, "n is True, not an integer"),
+        ("n", 4.0, "n is 4.0, not an integer"),
+    ):
+        path.write_text(json.dumps({**good, field: value}))
+        rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+        assert rc == 2 and out == "" and message in err, (field, value, err)
     path.write_text(json.dumps({**good, "lam0_minus": 0}))  # a JSON integer is a number
     rc, _, _ = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
     assert rc == 0

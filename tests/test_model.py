@@ -166,6 +166,14 @@ def test_specification_validation():
     for bad in (2, True, 1.0):
         with pytest.raises(ValueError):
             Specification.from_mapping(3, {1: bad, 2: 0, 3: 1})
+    for n in (True, 1, 0, -3, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"n={n!r}"):
+            Specification(n, ())
+        with pytest.raises(ValueError, match=f"n={n!r}"):
+            Specification.from_mapping(n, {})
+    # a large n fails on the missing labels without listing all 2^99 of them
+    with pytest.raises(ValueError, match=r"missing \[1, 2, 3, 4, 5, 6, 7, 8\]"):
+        Specification.from_mapping(100, {})
     spec = Specification.from_mapping(3, {1: 1, 2: 0, 3: 1})
     assert spec.bits == (1, 0, 1)
     assert spec.value(2) == 0
