@@ -43,7 +43,6 @@ from .model import (
 from .protocols import (
     AMPLIFY_CAP,
     DegenerateStateError,
-    EffectivePairState,
     PipelineStep,
     PipelineTrace,
     amplify,
@@ -61,7 +60,6 @@ __all__ = [
     "AMPLIFY_CAP",
     "BUILTIN_REQUIREMENTS",
     "DegenerateStateError",
-    "EffectivePairState",
     "FamilyState",
     "Grouping",
     "GroupingReport",

@@ -32,7 +32,7 @@ from .analysis import (
     search_specifications,
 )
 from .construct import example_state, from_specification, random_family_state
-from .model import FamilyState, Grouping, Specification, validate
+from .model import FamilyState, Grouping, Specification, Splitting, validate
 from .protocols import PipelineTrace, distill_pipeline
 
 STATE_SCHEMA = 1
@@ -81,15 +81,19 @@ def state_from_document(doc: Any) -> FamilyState:
     return state
 
 
-def load_state(path: str) -> FamilyState:
+def _read_json(path: str, what: str) -> Any:
+    """Parse a JSON file; errors name it as `what` ("state", "specification")."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read state file {path}: {exc}") from None
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"state file {path} is not valid JSON: {exc}") from None
-    return state_from_document(doc)
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def load_state(path: str) -> FamilyState:
+    return state_from_document(_read_json(path, "state"))
 
 
 def save_state(state: FamilyState, path: str) -> None:
@@ -99,13 +103,7 @@ def save_state(state: FamilyState, path: str) -> None:
 
 
 def _load_specification(path: str) -> Specification:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read specification file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"specification file {path} is not valid JSON: {exc}") from None
+    doc = _read_json(path, "specification")
     if not isinstance(doc, dict) or "n" not in doc or "bits" not in doc:
         raise ValueError("specification file must hold an object with n and bits")
     bits = doc["bits"]
@@ -186,8 +184,6 @@ def _emit(doc: dict[str, Any]) -> None:
 
 
 def _print_state_pretty(state: FamilyState) -> None:
-    from .model import Splitting
-
     print(f"parties        {state.n}")
     print(f"lam0_plus      {state.lam0_plus:.12g}")
     print(f"lam0_minus     {state.lam0_minus:.12g}")
@@ -331,9 +327,9 @@ def _trace_fields(trace: PipelineTrace, with_states: bool) -> dict[str, Any]:
         doc["outcome"] = {
             "lam0_plus": out.lam0_plus,
             "lam0_minus": out.lam0_minus,
-            "lam_pair": out.lam_pair,
+            "lam_pair": out.lam[0],
             "fidelity": out.fidelity,
-            "distillable": out.distillable,
+            "distillable": trace.succeeded,
         }
     else:
         doc["outcome"] = None
@@ -351,9 +347,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
         if trace.witness is not None:
             print(f"blocked by {trace.witness}")
         elif trace.outcome is not None:
-            out = trace.outcome
-            word = "distillable" if out.distillable else "not distillable"
-            print(f"outcome: fidelity {out.fidelity:.6g}, {word}")
+            word = "distillable" if trace.succeeded else "not distillable"
+            print(f"outcome: fidelity {trace.outcome.fidelity:.6g}, {word}")
     else:
         _emit(_trace_fields(trace, args.json_trace))
     return 0 if (trace.succeeded or not args.assert_) else 1

@@ -9,6 +9,7 @@ seeded fuzz inputs that keep clear of the indicator boundary.
 """
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable
 
@@ -31,8 +32,8 @@ def from_specification(
     """
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
-    if lam0_minus < 0.0:
-        raise ValueError(f"lam0_minus must be nonnegative, got {lam0_minus}")
+    if not 0.0 <= lam0_minus < math.inf:
+        raise ValueError(f"lam0_minus must be finite and nonnegative, got {lam0_minus}")
     high = 0.5 * (1.0 + margin)
     lam = tuple(0.0 if b else high for b in spec.bits)
     return FamilyState.from_unnormalized(spec.n, lam0_minus + 1.0, lam0_minus, lam)

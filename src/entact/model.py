@@ -111,14 +111,19 @@ class FamilyState:
     ) -> "FamilyState":
         lam = tuple(lam)
         total = lam0_plus + lam0_minus + 2.0 * sum(lam)
-        if total <= 0.0:
-            raise ValueError("total weight must be positive")
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"total weight must be positive and finite, got {total}")
         return cls(n, lam0_plus / total, lam0_minus / total, tuple(v / total for v in lam))
 
     @property
     def delta(self) -> float:
         """Gap between the two label-0 weights; half of it is the indicator threshold."""
         return self.lam0_plus - self.lam0_minus
+
+    @property
+    def fidelity(self) -> float:
+        """Overlap with the even corner vector after normalization."""
+        return self.lam0_plus / self.total_weight()
 
     @property
     def label_count(self) -> int:

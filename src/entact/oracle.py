@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FamilyState, Splitting
-from .protocols import EffectivePairState
 
 DENSE_PARTY_CAP = 8
 
@@ -212,16 +211,6 @@ def effective_pair_dense(mat: np.ndarray, split: Splitting) -> np.ndarray:
     idxs = [0, i_b, i_a, i_b | i_a]
     sub = mat[np.ix_(idxs, idxs)].copy()
     return sub / np.trace(sub).real
-
-
-def pair_density(pair: EffectivePairState) -> np.ndarray:
-    """Normalized 4x4 density matrix of an effective pair state."""
-    t = pair.total_weight()
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = rho[3, 3] = 0.5 * (pair.lam0_plus + pair.lam0_minus) / t
-    rho[1, 1] = rho[2, 2] = pair.lam_pair / t
-    rho[0, 3] = rho[3, 0] = 0.5 * (pair.lam0_plus - pair.lam0_minus) / t
-    return rho
 
 
 def permute_dense(mat: np.ndarray, order) -> np.ndarray:

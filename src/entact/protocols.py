@@ -1,7 +1,7 @@
 """Coefficient-level protocol operations.
 
-Every operation here maps family states to family states (or to the
-final two-party outcome) while tracking exactly how the coefficients and
+Every operation here maps family states to family states, down to the
+final two-party outcome, while tracking exactly how the coefficients and
 the corner gap move.  The dense oracle mirrors each operation on full
 density matrices so the two routes can be compared in tests.
 """
@@ -28,8 +28,8 @@ def amplify(state: FamilyState, m: int) -> FamilyState:
     ratio r to the threshold turns into r**m.  Indicators are unchanged
     while margins widen, which is what makes helper measurements safe.
     """
-    if m < 1:
-        raise ValueError(f"amplification power must be a positive integer, got {m}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"amplification power must be a positive integer, got {m!r}")
     if m == 1:
         return state
     half = 0.5 * state.delta
@@ -130,49 +130,18 @@ def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
     return FamilyState.from_unnormalized(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
-@dataclass(frozen=True)
-class EffectivePairState:
-    """Two-party outcome of collapsing a splitting, stored unnormalized.
-
-    The fields are inherited verbatim from the parent state; properties
-    divide by the total weight where that matters.
-    """
-
-    lam0_plus: float
-    lam0_minus: float
-    lam_pair: float
-
-    @property
-    def delta(self) -> float:
-        return self.lam0_plus - self.lam0_minus
-
-    def total_weight(self) -> float:
-        return self.lam0_plus + self.lam0_minus + 2.0 * self.lam_pair
-
-    @property
-    def fidelity(self) -> float:
-        """Overlap with the corner pair after normalization."""
-        return self.lam0_plus / self.total_weight()
-
-    @property
-    def distillable(self) -> bool:
-        return self.lam_pair < 0.5 * self.delta
-
-    def normalized(self) -> "EffectivePairState":
-        t = self.total_weight()
-        return EffectivePairState(self.lam0_plus / t, self.lam0_minus / t, self.lam_pair / t)
-
-
-def project_to_effective_pair(state: FamilyState, split: Splitting) -> EffectivePairState:
+def project_to_effective_pair(state: FamilyState, split: Splitting) -> FamilyState:
     """Collapse a splitting to its effective two-party state.
 
     Each side projects onto the span of its all-zero and all-one
     patterns.  Only the corner pair and the pair labeled by the
-    splitting survive, so three numbers pin the outcome down.
+    splitting survive, which leaves a two-party family state.  Like
+    measure_out_party's result it is unnormalized, and its one label is
+    distillable exactly when the splitting is.
     """
     if split.n != state.n:
         raise ValueError(f"splitting is for n={split.n}, state has n={state.n}")
-    return EffectivePairState(state.lam0_plus, state.lam0_minus, state.coefficient(split.mask))
+    return FamilyState(2, state.lam0_plus, state.lam0_minus, (state.coefficient(split.mask),))
 
 
 def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
@@ -227,7 +196,7 @@ class PipelineTrace:
     succeeded: bool
     steps: tuple[PipelineStep, ...]
     witness: Splitting | None
-    outcome: EffectivePairState | None
+    outcome: FamilyState | None
     final_split: Splitting | None
 
 
@@ -300,5 +269,5 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
     outcome = project_to_effective_pair(cur, final_split)
     steps.append(PipelineStep("project", f"collapsed the pair across {final_split}", cur))
     return PipelineTrace(
-        grouping, cset, dset, outcome.distillable, tuple(steps), None, outcome, final_split
+        grouping, cset, dset, bool(outcome.indicator(1)), tuple(steps), None, outcome, final_split
     )

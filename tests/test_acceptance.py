@@ -52,7 +52,6 @@ from entact.oracle import (
     join_dense,
     measure_plus_dense,
     min_pt_eigenvalue,
-    pair_density,
     permute_dense,
     ppt_agreement_report,
 )
@@ -502,7 +501,7 @@ def _pipeline_case(state, grouping, c, d):
     )
     if want:
         out = trace.outcome
-        _require(out is not None and out.distillable and out.fidelity > 0.5,
+        _require(out is not None and out.indicator(1) and out.fidelity > 0.5,
                  f"successful pipeline did not end distillable under {grouping}")
         _require(validate(trace.steps[-1].state) == [],
                  f"pipeline produced an invalid state under {grouping}")
@@ -621,7 +620,8 @@ def check_dense_protocol_crosschecks():
             for mask in (1, (1 << (n - 1)) - 1):
                 sp = Splitting(n, mask)
                 dense4 = effective_pair_dense(mat, sp)
-                fam4 = pair_density(project_to_effective_pair(state, sp))
+                pair = project_to_effective_pair(state, sp)
+                fam4 = build_density(pair) / pair.total_weight()
                 dev = float(np.abs(dense4 - fam4).max())
                 _require(dev <= CROSS_TOL, f"projection across {sp} differs by {dev:.3e}, {tag}")
 

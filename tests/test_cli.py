@@ -136,6 +136,17 @@ def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
     assert rc == 0
 
 
+def test_construct_rejects_lam0_minus_it_cannot_write(tmp_path, capsys):
+    # nan would print invalid JSON; inf and 1e308 overflow the total weight
+    path = tmp_path / "s.json"
+    for value in ("nan", "inf", "1e308"):
+        rc, out, err = run(
+            capsys, "construct", "--example", "VI", "--lam0-minus", value, "-o", str(path)
+        )
+        assert rc == 2 and out == "" and err.startswith("error:"), (value, err)
+        assert not path.exists()
+
+
 def test_construct_pretty_table(capsys):
     rc, out, _ = run(capsys, "construct", "--example", "VI", "--pretty")
     assert rc == 0

@@ -42,8 +42,9 @@ def test_from_specification_margin_controls_clearance():
         from_specification(spec, margin=0.0)
     with pytest.raises(ValueError):
         from_specification(spec, margin=1.5)
-    with pytest.raises(ValueError):
-        from_specification(spec, lam0_minus=-0.2)
+    for bad in (-0.2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam0_minus must be finite and nonnegative"):
+            from_specification(spec, lam0_minus=bad)
 
 
 def test_catalog_i_popcount_band():

@@ -14,7 +14,6 @@ from entact.oracle import (
     join_dense,
     measure_plus_dense,
     min_pt_eigenvalue,
-    pair_density,
     partial_transpose,
     permute_dense,
     ppt_agreement_report,
@@ -160,7 +159,7 @@ def test_pair_density_agrees_with_dense_projection():
     state = random_family_state(5, seed=11)
     split = Splitting(5, 6)
     pair = project_to_effective_pair(state, split)
-    mat = pair_density(pair)
+    mat = build_density(pair) / pair.total_weight()
     sub = effective_pair_dense(build_density(state), split)
     assert np.allclose(mat, sub, atol=1e-12)
 

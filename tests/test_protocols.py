@@ -44,8 +44,9 @@ def test_amplify_identity_and_ratio_law():
 
 def test_amplify_rejects_bad_input():
     state = random_family_state(3, seed=0)
-    with pytest.raises(ValueError):
-        amplify(state, 0)
+    for m in (0, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            amplify(state, m)
     flat = FamilyState(3, 0.25, 0.25, (0.125, 0.0, 0.125))
     with pytest.raises(DegenerateStateError):
         amplify(flat, 2)
@@ -141,10 +142,11 @@ def test_project_to_effective_pair():
     split = Splitting(4, 3)
     pair = project_to_effective_pair(state, split)
     assert pair.delta == pytest.approx(state.delta)
-    assert pair.lam_pair == state.coefficient(3)
-    assert pair.distillable == bool(state.indicator(3))
-    assert pair.distillable == (pair.fidelity > 0.5)
-    assert pair.normalized().total_weight() == pytest.approx(1.0)
+    assert pair.lam[0] == state.coefficient(3)
+    assert pair.indicator(1) == state.indicator(3)
+    assert bool(pair.indicator(1)) == (pair.fidelity > 0.5)
+    normalized = FamilyState.from_unnormalized(2, pair.lam0_plus, pair.lam0_minus, pair.lam)
+    assert normalized.total_weight() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         project_to_effective_pair(state, Splitting(5, 3))
 
@@ -187,7 +189,7 @@ def test_pipeline_worked_four_party_run():
     assert trace.succeeded
     assert trace.witness is None
     assert trace.outcome is not None
-    assert trace.outcome.distillable
+    assert trace.outcome.indicator(1)
     assert trace.outcome.fidelity == pytest.approx(1.0)
     kinds = [step.kind for step in trace.steps]
     assert kinds == ["start", "join", "permute", "measure", "measure", "project"]
