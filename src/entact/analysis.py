@@ -20,6 +20,10 @@ from .model import (
     party_bitmask,
 )
 
+# Verdict objects of one sweep, shared by all its reports: the Splitting of
+# each label and the PairVerdict of each (c mask, d mask, label).
+_Memo = tuple[dict[int, Splitting], dict[tuple[int, int, int], "PairVerdict"]]
+
 
 def _subset_unions(masks: Sequence[int]) -> list[int]:
     """Union of every subset of `masks`: entry s joins masks[i] for each bit i of s."""
@@ -58,10 +62,6 @@ def _verdict(
     return (False, min(blocking)) if blocking else (True, None)
 
 
-def _grouping_masks(grouping: Grouping) -> tuple[int, ...]:
-    return tuple(party_bitmask(g) for g in grouping.groups)
-
-
 def _check_grouping(n: int, grouping: Grouping) -> None:
     if grouping.n != n:
         raise ValueError(f"grouping is for n={grouping.n}, the input has n={n}")
@@ -89,7 +89,7 @@ def _pair_verdict(
     return _verdict(
         state.n,
         state.indicator_vector(),
-        _grouping_masks(grouping),
+        grouping.masks,
         party_bitmask(cset),
         party_bitmask(dset),
     )
@@ -207,7 +207,9 @@ def _largest_clique(adj: Sequence[int]) -> int:
     return best
 
 
-def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> GroupingReport:
+def grouping_report(
+    state: FamilyState | Specification, grouping: Grouping, *, _memo: _Memo | None = None
+) -> GroupingReport:
     """Verdict for every pair of groups, plus the largest GHZ-capable clique.
 
     A collection of groups can share a GHZ-type state exactly when every
@@ -218,15 +220,20 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     """
     _check_grouping(state.n, grouping)
     groups = grouping.groups
+    masks = grouping.masks
     k = len(groups)
-    labels = _pair_labels(state.n, state.indicator_vector(), _grouping_masks(grouping))
-    splits: dict[int, Splitting | None] = {0: None}
+    labels = _pair_labels(state.n, state.indicator_vector(), masks)
+    splits, verdicts = ({0: None}, {}) if _memo is None else _memo
     pairs = []
     adj = [0] * k
     for (i, j), label in zip(combinations(range(k), 2), labels):
-        if label not in splits:
-            splits[label] = Splitting(state.n, label)
-        pairs.append(PairVerdict(groups[i], groups[j], not label, splits[label]))
+        key = (masks[i], masks[j], label)
+        pv = verdicts.get(key)
+        if pv is None:
+            if label not in splits:
+                splits[label] = Splitting(state.n, label)
+            pv = verdicts[key] = PairVerdict(groups[i], groups[j], not label, splits[label])
+        pairs.append(pv)
         if not label:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -235,10 +242,12 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     return GroupingReport(grouping, tuple(pairs), ghz)
 
 
-def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of {1..n} in restricted-growth order, first-member blocks first.
+def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Group bitmasks of every partition of {1..n}, in restricted-growth order.
 
-    With `blocks` set, only partitions with exactly that many blocks.
+    The groups of a partition come in order of their lowest member, the
+    canonical order of a Grouping.  With `blocks` set, only partitions
+    with exactly that many blocks.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -249,15 +258,16 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
     # a[i] is the block of party i + 1 and top[i] the largest of a[:i + 1];
     # no digit rises past blocks - 1, since that partition has too many blocks
     cap = n if blocks is None else blocks
+    bits = [1 << i for i in range(n)]
     a = [0] * n
     top = [0] * n
     while True:
         count = top[-1] + 1
         if blocks is None or count == blocks:
-            sets: list[list[int]] = [[] for _ in range(count)]
-            for idx, block in enumerate(a):
-                sets[block].append(idx + 1)
-            yield tuple(tuple(s) for s in sets)
+            masks = [0] * count
+            for block, bit in zip(a, bits):
+                masks[block] |= bit
+            yield tuple(masks)
         i = n - 1
         while i > 0 and (a[i] > top[i - 1] or a[i] + 1 >= cap):
             i -= 1
@@ -269,14 +279,26 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
         a[i + 1:] = [0] * (n - i - 1)
 
 
+def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All partitions of {1..n} in restricted-growth order, first-member blocks first.
+
+    With `blocks` set, only partitions with exactly that many blocks.
+    """
+    parties = range(1, n + 1)
+    for masks in _partition_masks(n, blocks):
+        yield tuple(tuple(p for p in parties if m >> (p - 1) & 1) for m in masks)
+
+
 def classify_groupings(
     state: FamilyState | Specification, *, guard: int = 10, two_groups_only: bool = False
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
-    The reports read the indicator vector alone.  The number of set
-    partitions grows very fast, hence the guard on the party count;
-    raise it knowingly.
+    The reports read the indicator vector alone.  The reports of one
+    sweep share their immutable PairVerdict and Splitting objects: a
+    pair of groups that meets the same verdict in many groupings holds
+    one object for all of them.  The number of set partitions grows
+    very fast, hence the guard on the party count; raise it knowingly.
     """
     if state.n > guard:
         raise ValueError(
@@ -284,8 +306,9 @@ def classify_groupings(
             f"pass guard={state.n} to confirm"
         )
     blocks = 2 if two_groups_only else None
-    for part in iter_set_partitions(state.n, blocks):
-        yield grouping_report(state, Grouping.from_sets(state.n, part))
+    memo: _Memo = ({0: None}, {})
+    for masks in _partition_masks(state.n, blocks):
+        yield grouping_report(state, Grouping.from_masks(state.n, masks), _memo=memo)
 
 
 Requirement = Callable[[Specification], bool]
@@ -343,12 +366,11 @@ def _compile(
     ones = 0
     for grouping, c, d in activate:
         cset, dset = _resolve_pair(n, grouping, c, d)
-        masks = _grouping_masks(grouping)
-        ones |= _label_set(n, masks, party_bitmask(cset), party_bitmask(dset))
+        ones |= _label_set(n, grouping.masks, party_bitmask(cset), party_bitmask(dset))
     zeros = [1 << (m - 1) for m in zero_labels]
     for grouping in silent:
         _check_grouping(n, grouping)
-        masks = _grouping_masks(grouping)
+        masks = grouping.masks
         zeros += [_label_set(n, masks, a, b) for a, b in combinations(masks, 2)]
     assert ones, "a requirement without a demanded activation does not imply entanglement"
     return Clauses(n, ones, tuple(zeros))

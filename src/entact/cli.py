@@ -179,8 +179,8 @@ def _report_fields(rep: GroupingReport) -> dict[str, Any]:
 
 
 def _emit(doc: dict[str, Any]) -> None:
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+    # dumps runs the C encoder; dump would stream through the Python one
+    sys.stdout.write(json.dumps(doc) + "\n")
 
 
 def _print_state_pretty(state: FamilyState) -> None:

@@ -28,7 +28,8 @@ def from_specification(
     fixed at 1 before normalization.  Normalizing scales coefficients
     and gap alike, so the realized indicator vector equals ``spec.bits``
     exactly, with `margin` controlling how far the separable labels sit
-    from the boundary.
+    from the boundary.  A `lam0_minus` so large that the gap rounds
+    away raises ValueError instead of returning another pattern.
     """
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
@@ -36,7 +37,15 @@ def from_specification(
         raise ValueError(f"lam0_minus must be finite and nonnegative, got {lam0_minus}")
     high = 0.5 * (1.0 + margin)
     lam = tuple(0.0 if b else high for b in spec.bits)
-    return FamilyState.from_unnormalized(spec.n, lam0_minus + 1.0, lam0_minus, lam)
+    state = FamilyState.from_unnormalized(spec.n, lam0_minus + 1.0, lam0_minus, lam)
+    if state.indicator_vector() != spec.bits:
+        # a large lam0_minus swallows the unit gap: lam0_minus + 1.0 rounds
+        # to lam0_minus at 1e16, and the gap loses its bits well before that
+        raise ValueError(
+            f"lam0_minus={lam0_minus!r} is too large: the corner gap rounds away "
+            "and the state no longer realizes the specification"
+        )
+    return state
 
 
 def example_pattern(

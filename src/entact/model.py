@@ -14,8 +14,8 @@ arithmetic, the constructors and the dense oracle agree entry for entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -32,6 +32,11 @@ def party_bitmask(parties: Iterable[int]) -> int:
 
 def parties_from_bitmask(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# the party sets of group masks, shared by every Grouping.from_masks:
+# a sweep meets each of its at most 2^n - 1 group masks many times
+_group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
 
 
 def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int]:
@@ -243,37 +248,102 @@ def straddles(split: Splitting, group: Iterable[int]) -> bool:
     return bool(gmask & split.mask) and bool(gmask & comp)
 
 
+def _grouping_size(n: object) -> int:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"a grouping needs an integer n of at least 1, got n={n!r}")
+    return n
+
+
+def _cover_error(n: int, union: int, unknown: Iterable[int]) -> ValueError:
+    missing = sorted(parties_from_bitmask(((1 << n) - 1) & ~union))
+    unknown = sorted(unknown)
+    return ValueError(
+        f"groups must partition 1..{n}"
+        + (f"; missing {missing}" if missing else "")
+        + (f"; unknown {unknown}" if unknown else "")
+    )
+
+
+def _check_group_masks(n: int, masks: tuple[int, ...]) -> None:
+    """The partition rule of a Grouping, on group bitmasks (bit p - 1 for party p).
+
+    Groups are non-empty and disjoint, they come in ascending order of
+    their lowest member, and their union is 1..n.
+    """
+    union = low = 0
+    for m in masks:
+        if type(m) is not int or m < 0:
+            raise ValueError(f"group mask {m!r} is not a nonnegative integer")
+        if not m:
+            raise ValueError("groups must be non-empty")
+        if union & m:
+            raise ValueError(f"groups overlap on parties {sorted(parties_from_bitmask(union & m))}")
+        if m & -m < low:
+            raise ValueError(
+                f"groups must come in ascending order of their lowest member, got masks {list(masks)}"
+            )
+        low = m & -m
+        union |= m
+    if union != (1 << n) - 1:
+        raise _cover_error(n, union, parties_from_bitmask(union >> n << n))
+
+
 @dataclass(frozen=True)
 class Grouping:
-    """A set partition of the parties into cooperating groups."""
+    """A set partition of the parties into cooperating groups.
+
+    `groups` is kept in canonical order, by smallest member; `masks`
+    holds the bitmask of each group in the same order.
+    """
 
     n: int
     groups: tuple[frozenset[int], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        n = _grouping_size(self.n)
+        # parties outside 1..n get no bit, so that a huge number cannot build a huge mask
+        unknown: set[int] = set()
+        pairs = []
+        union = 0
         for g in self.groups:
-            if not g:
-                raise ValueError("groups must be non-empty")
-            if seen & g:
-                raise ValueError(f"groups overlap on parties {sorted(seen & g)}")
-            seen |= g
-        if seen != set(range(1, self.n + 1)):
-            missing = set(range(1, self.n + 1)) - seen
-            extra = seen - set(range(1, self.n + 1))
-            raise ValueError(
-                f"groups must partition 1..{self.n}"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unknown {sorted(extra)}" if extra else "")
-            )
-        # canonical order: by smallest member
-        object.__setattr__(
-            self, "groups", tuple(sorted((frozenset(g) for g in self.groups), key=min))
-        )
+            group = frozenset(g)
+            mask = 0
+            for p in group:
+                if type(p) is not int:
+                    raise ValueError(f"party {p!r} is not an integer")
+                if 1 <= p <= n:
+                    mask |= 1 << (p - 1)
+                else:
+                    unknown.add(p)
+            pairs.append((mask, group))
+            union |= mask
+        if unknown:
+            raise _cover_error(n, union, unknown)
+        pairs.sort(key=lambda pair: pair[0] & -pair[0])
+        masks = tuple(mask for mask, _ in pairs)
+        _check_group_masks(n, masks)
+        object.__setattr__(self, "groups", tuple(group for _, group in pairs))
+        object.__setattr__(self, "masks", masks)
+
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> "Grouping":
+        """The grouping with these group bitmasks, given in canonical order.
+
+        The masks pass the same rule as the groups of the constructor,
+        but nothing is sorted: a mask out of order is an error.
+        """
+        masks = tuple(masks)
+        _check_group_masks(_grouping_size(n), masks)
+        grouping = object.__new__(cls)
+        object.__setattr__(grouping, "n", n)
+        object.__setattr__(grouping, "groups", tuple(map(_group_parties, masks)))
+        object.__setattr__(grouping, "masks", masks)
+        return grouping
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "Grouping":
-        return cls(n, tuple(frozenset(s) for s in sets))
+        return cls(n, tuple(sets))
 
     @classmethod
     def all_separate(cls, n: int) -> "Grouping":

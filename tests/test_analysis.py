@@ -185,6 +185,51 @@ def test_iter_set_partitions_with_blocks_matches_filtered_walk():
             assert list(iter_set_partitions(n, blocks)) == want
 
 
+def _reference_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Restricted-growth strings in lexicographic order, each turned into its blocks."""
+    strings = [[0]]
+    for _ in range(n - 1):
+        strings = [a + [b] for a in strings for b in range(max(a) + 2)]
+    return [
+        tuple(tuple(p for p in range(1, n + 1) if a[p - 1] == b) for b in range(max(a) + 1))
+        for a in strings
+    ]
+
+
+def test_iter_set_partitions_matches_reference_walk():
+    for n in range(1, 9):
+        want = _reference_partitions(n)
+        assert list(iter_set_partitions(n)) == want
+        for blocks in range(1, n + 1):
+            assert list(iter_set_partitions(n, blocks)) == [p for p in want if len(p) == blocks]
+
+
+def test_classify_groupings_matches_report_per_grouping():
+    states = list(CATALOG_STATES)
+    states += [random_family_state(n, seed) for n in range(3, 8) for seed in range(3)]
+    for state in states:
+        n = state.n
+        for two_groups_only, blocks in ((False, None), (True, 2)):
+            want = [
+                grouping_report(state, Grouping.from_sets(n, part))
+                for part in iter_set_partitions(n, blocks)
+            ]
+            got = list(classify_groupings(state, two_groups_only=two_groups_only))
+            assert len(got) == len(want)
+            for mine, ref in zip(got, want):
+                assert mine == ref
+                assert mine.grouping.masks == ref.grouping.masks
+
+
+def test_classify_groupings_shares_verdict_objects():
+    state = random_family_state(6, seed=1)
+    verdicts: dict = {}
+    for report in classify_groupings(state):
+        for pv in report.pairs:
+            key = (pv.c, pv.d, pv.witness)
+            assert verdicts.setdefault(key, pv) is pv
+
+
 def test_classify_groupings_covers_every_partition():
     state = random_family_state(4, seed=0)
     reports = list(classify_groupings(state))

@@ -66,6 +66,16 @@ def test_construct_example_to_file(tmp_path, capsys):
     assert load_state(str(path)) == example_state("VI")
 
 
+def test_construct_rejects_lam0_minus_that_erases_the_gap(tmp_path, capsys):
+    path = tmp_path / "vi.json"
+    rc, out, err = run(
+        capsys, "construct", "--example", "VI", "--lam0-minus", "1e16", "-o", str(path)
+    )
+    assert rc == 2 and out == ""
+    assert "lam0_minus" in err
+    assert not path.exists()
+
+
 def test_construct_stdout_json(capsys):
     rc, out, _ = run(capsys, "construct", "--example", "VII")
     assert rc == 0

@@ -47,6 +47,13 @@ def test_from_specification_margin_controls_clearance():
             from_specification(spec, lam0_minus=bad)
 
 
+def test_from_specification_rejects_a_gap_lost_to_rounding():
+    # lam0_minus + 1.0 rounds to lam0_minus, so the gap and every indicator would be 0
+    with pytest.raises(ValueError, match="lam0_minus=1e\\+16"):
+        example_state("VI", lam0_minus=1e16)
+    assert example_state("VI", lam0_minus=1e6).indicator_vector() == example_pattern("VI").bits
+
+
 def test_catalog_i_popcount_band():
     spec = example_pattern("I", n=6, j=2)
     for m in spec.ones():

@@ -138,12 +138,68 @@ def test_grouping_partition_rules():
     assert str(g) == "1|2|3,4"
     assert Grouping.all_separate(3).as_lists() == [[1], [2], [3]]
     assert Grouping.with_joined(5, (2, 4)).as_lists() == [[1], [2, 4], [3], [5]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"groups overlap on parties \[2\]"):
         Grouping.from_sets(4, [[1, 2], [2, 3], [4]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"groups must partition 1\.\.4; missing \[4\]$"):
         Grouping.from_sets(4, [[1, 2], [3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"groups must partition 1\.\.4; unknown \[5\]$"):
         Grouping.from_sets(4, [[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match=r"missing \[4\]; unknown \[0\]$"):
+        Grouping.from_sets(4, [[0, 1], [2, 3]])
+    # a huge party number is reported, not turned into a huge mask
+    with pytest.raises(ValueError, match=rf"unknown \[{10**12}\]$"):
+        Grouping.from_sets(2, [[1, 2], [10**12]])
+    with pytest.raises(ValueError, match="groups must be non-empty"):
+        Grouping.from_sets(3, [[1, 2], [], [3]])
+
+
+def test_grouping_keeps_masks_out_of_compare_and_repr():
+    g = Grouping.from_sets(4, [[3, 4], [1], [2]])
+    assert g.masks == (1, 2, 12)  # in the canonical order of the groups
+    assert g == Grouping.from_masks(4, (1, 2, 12))
+    assert hash(g) == hash(Grouping.from_masks(4, (1, 2, 12)))
+    assert "masks" not in repr(g)
+
+
+def test_grouping_accepts_list_groups():
+    g = Grouping(4, ([1, 2], [3], [4]))
+    assert g.groups == (frozenset({1, 2}), frozenset({3}), frozenset({4}))
+    assert g.masks == (3, 4, 8)
+
+
+def test_grouping_rejects_non_integer_party():
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        Grouping(2, ({True}, {2}))
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        Grouping(3, ({1.0}, {2}, {3}))
+    with pytest.raises(ValueError, match="party '1' is not an integer"):
+        Grouping(2, ({"1"}, {2}))
+
+
+def test_grouping_rejects_bad_party_count():
+    for n in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"n={n!r}"):
+            Grouping(n, ())
+    with pytest.raises(ValueError, match="n=True"):
+        Grouping(True, ({1},))
+
+
+def test_grouping_from_masks_rejects_bad_masks():
+    cases = (
+        ((1, 3, 12), r"groups overlap on parties \[1\]"),
+        ((1, 0, 14), "groups must be non-empty"),
+        ((1, 2, 4), r"missing \[4\]$"),
+        ((1, 2, 4, 8, 16), r"unknown \[5\]$"),
+        ((2, 1, 12), "ascending order of their lowest member"),
+        ((1, 12, 2), "ascending order of their lowest member"),
+        ((1, -2, 12), "group mask -2"),
+        ((1, 2.0, 12), r"group mask 2\.0"),
+    )
+    for masks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Grouping.from_masks(4, masks)
+    with pytest.raises(ValueError, match="n=0"):
+        Grouping.from_masks(0, ())
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())
