@@ -33,7 +33,6 @@ from .model import (
     Grouping,
     Specification,
     Splitting,
-    npt_indicator,
     parties_from_bitmask,
     party_bitmask,
     separating_splittings,
@@ -83,7 +82,6 @@ __all__ = [
     "join_povm",
     "measure_out_party",
     "necessary_distillable",
-    "npt_indicator",
     "parties_from_bitmask",
     "party_bitmask",
     "permute_parties",

@@ -5,6 +5,13 @@ groups, can groups c and d end up with a distillable pair between them?
 The answer needs only the indicator vector.  A splitting blocks the pair
 when it puts c opposite d, carries indicator 0, and is straddled by no
 group; the pair is distillable exactly when no splitting blocks it.
+
+Every verdict reads one table per grouping, built by `_union_table`:
+the splittings no group straddles, which are the unions of the groups
+lacking party n, and for each group the unions that hold it.  A union
+separates two groups exactly when it holds one of them, so
+`grouping_report`, the single-pair verdicts and the clauses of
+`_compile` are all reads of that table.
 """
 from __future__ import annotations
 
@@ -12,54 +19,52 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import (
-    FamilyState,
-    Grouping,
-    Specification,
-    Splitting,
-    party_bitmask,
-)
+from .model import FamilyState, Grouping, Specification, Splitting
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
 _Memo = tuple[dict[int, Splitting], dict[tuple[int, int, int], "PairVerdict"]]
 
 
-def _subset_unions(masks: Sequence[int]) -> list[int]:
-    """Union of every subset of `masks`: entry s joins masks[i] for each bit i of s."""
-    unions = [0]
-    for g in masks:
-        unions += [u | g for u in unions]
-    return unions
+def _union_table(group_masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The splittings no group straddles, and which of them hold each group.
 
-
-def _separating_labels(
-    n: int, group_masks: Sequence[int], cmask: int, dmask: int
-) -> list[int]:
-    """Labels of the splittings that separate c from d and no group straddles.
-
-    Such a splitting has a union of groups on each side, so the labels
-    are exactly side B = whichever of c, d lacks party n (either, when
-    neither holds it) joined with any union of the other groups lacking
-    party n: 2^(k-2) distinct labels for k groups.
+    Such a splitting has a union of groups on each side, and its label is
+    the side without party n: a union of the groups lacking party n, which
+    are all groups but the one with the largest mask.  Union s joins
+    those groups at the bits of s; with the groups in ascending mask
+    order its label grows with s, since disjoint masks compare by their
+    highest party.  Returns (unions, inside): unions[s] is the label of
+    union s (unions[0] = 0 is no splitting), and bit s of inside[i] is
+    set when union s holds group i.  Union s separates groups i and j
+    exactly at the bits of inside[i] ^ inside[j].
     """
-    ref = 1 << (n - 1)
-    others = [g for g in group_masks if g != cmask and g != dmask and not g & ref]
-    unions = _subset_unions(others)
-    return [m | u for m in (cmask, dmask) if not m & ref for u in unions]
+    free = sorted(range(len(group_masks)), key=group_masks.__getitem__)[:-1]
+    # union s holds the group at position p of free when bit p of s is set:
+    # runs of 2^p clear and 2^p set bits
+    full = (1 << (1 << len(free))) - 1
+    unions = [0]
+    inside = [0] * len(group_masks)
+    for i in free:
+        g = group_masks[i]
+        run = len(unions)
+        unions += [u | g for u in unions]
+        inside[i] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    return unions, inside
 
 
-def _verdict(
-    n: int,
-    indicator: Sequence[int],
-    group_masks: Sequence[int],
-    cmask: int,
-    dmask: int,
-) -> tuple[bool, int | None]:
-    """Core decision; returns (ok, lowest blocking label or None)."""
-    labels = _separating_labels(n, group_masks, cmask, dmask)
-    blocking = [m for m in labels if not indicator[m - 1]]
-    return (False, min(blocking)) if blocking else (True, None)
+def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
+    """Bitmask of the unions with indicator 0: the splittings that can block a pair."""
+    zero = 0
+    for s in range(1, len(unions)):
+        if not indicator[unions[s] - 1]:
+            zero |= 1 << s
+    return zero
+
+
+def _lowest_label(unions: Sequence[int], blockers: int) -> int:
+    """Label of the lowest union at the bits of `blockers`, or 0 when there is none."""
+    return unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
 
 
 def _check_grouping(n: int, grouping: Grouping) -> None:
@@ -67,32 +72,29 @@ def _check_grouping(n: int, grouping: Grouping) -> None:
         raise ValueError(f"grouping is for n={grouping.n}, the input has n={n}")
 
 
-def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[frozenset[int], frozenset[int]]:
+def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
+    """Indices of groups c and d in `grouping`."""
     _check_grouping(n, grouping)
+    groups = grouping.groups
     cset = frozenset(c)
     dset = frozenset(d)
     for name, s in (("c", cset), ("d", dset)):
-        if s not in grouping.groups:
+        if s not in groups:
             raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
     if cset == dset:
         raise ValueError(
             f"c and d are the same group {','.join(map(str, sorted(cset)))}; "
             "a pair needs two different groups"
         )
-    return cset, dset
+    return groups.index(cset), groups.index(dset)
 
 
-def _pair_verdict(
-    state: FamilyState | Specification, grouping: Grouping, c, d
-) -> tuple[bool, int | None]:
-    cset, dset = _resolve_pair(state.n, grouping, c, d)
-    return _verdict(
-        state.n,
-        state.indicator_vector(),
-        grouping.masks,
-        party_bitmask(cset),
-        party_bitmask(dset),
-    )
+def _pair_label(state: FamilyState | Specification, grouping: Grouping, c, d) -> int:
+    """Lowest label blocking groups c and d, or 0 when the pair distills."""
+    i, j = _resolve_pair(state.n, grouping, c, d)
+    unions, inside = _union_table(grouping.masks)
+    zero = _zero_unions(state.indicator_vector(), unions)
+    return _lowest_label(unions, zero & (inside[i] ^ inside[j]))
 
 
 def necessary_distillable(state: FamilyState | Specification, grouping: Grouping, c, d) -> bool:
@@ -105,7 +107,7 @@ def necessary_distillable(state: FamilyState | Specification, grouping: Grouping
     alone, so a Specification gives the verdict of every state that
     realizes it.
     """
-    return _pair_verdict(state, grouping, c, d)[0]
+    return not _pair_label(state, grouping, c, d)
 
 
 def distillation_witness(
@@ -115,8 +117,8 @@ def distillation_witness(
 
     Like every verdict, it reads the indicator vector alone.
     """
-    _, label = _pair_verdict(state, grouping, c, d)
-    return None if label is None else Splitting(state.n, label)
+    label = _pair_label(state, grouping, c, d)
+    return Splitting(state.n, label) if label else None
 
 
 @dataclass(frozen=True)
@@ -142,47 +144,9 @@ class GroupingReport:
         return any(p.distillable for p in self.pairs)
 
     def pair(self, c, d) -> PairVerdict:
-        cset, dset = _resolve_pair(self.grouping.n, self.grouping, c, d)
-        return next(pv for pv in self.pairs if {pv.c, pv.d} == {cset, dset})
-
-
-def _pair_labels(
-    n: int, indicator: Sequence[int], group_masks: Sequence[int]
-) -> list[int]:
-    """Lowest blocking label of every pair of groups, from one pass over the unions of groups.
-
-    The splittings no group straddles are the unions of the groups that
-    lack party n.  Union s joins the groups at the bits of s; with those
-    groups in ascending mask order its label grows with s, since disjoint
-    masks compare by their highest party.  One pass over s collects the
-    zero unions as the bits of `zero`, lowest label first.  A zero union
-    blocks each pair with exactly one group inside it, so a pair's lowest
-    blocking label, the one `_verdict` finds, sits at the lowest bit of
-    zero & (inside[i] ^ inside[j]).  Returns that label, or 0 when the
-    pair distills, for each pair (i, j), i < j, in order.
-    """
-    ref = 1 << (n - 1)
-    k = len(group_masks)
-    free = sorted((i for i in range(k) if not group_masks[i] & ref), key=group_masks.__getitem__)
-    unions = _subset_unions([group_masks[i] for i in free])
-    width = len(unions)
-    zero = 0
-    for s in range(1, width):
-        if not indicator[unions[s] - 1]:
-            zero |= 1 << s
-    # inside[i] has bit s set when union s holds group i, the one at position
-    # p of free: alternating runs of 2^p clear and 2^p set bits
-    inside = [0] * k
-    for p, i in enumerate(free):
-        run = 1 << p
-        inside[i] = ((1 << width) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    labels = []
-    for i in range(k):
-        row = zero & inside[i]
-        for j in range(i + 1, k):
-            blockers = row ^ zero & inside[j]
-            labels.append(unions[(blockers & -blockers).bit_length() - 1] if blockers else 0)
-    return labels
+        groups = self.grouping.groups
+        i, j = _resolve_pair(self.grouping.n, self.grouping, c, d)
+        return next(pv for pv in self.pairs if {pv.c, pv.d} == {groups[i], groups[j]})
 
 
 def _largest_clique(adj: Sequence[int]) -> int:
@@ -222,11 +186,13 @@ def grouping_report(
     groups = grouping.groups
     masks = grouping.masks
     k = len(groups)
-    labels = _pair_labels(state.n, state.indicator_vector(), masks)
+    unions, inside = _union_table(masks)
+    zero = _zero_unions(state.indicator_vector(), unions)
     splits, verdicts = ({0: None}, {}) if _memo is None else _memo
     pairs = []
     adj = [0] * k
-    for (i, j), label in zip(combinations(range(k), 2), labels):
+    for i, j in combinations(range(k), 2):
+        label = _lowest_label(unions, zero & (inside[i] ^ inside[j]))
         key = (masks[i], masks[j], label)
         pv = verdicts.get(key)
         if pv is None:
@@ -341,12 +307,10 @@ class Clauses:
             raise ValueError(f"this requirement is defined for n={self.n}, not n={n}")
 
 
-def _label_set(n: int, group_masks: Sequence[int], cmask: int, dmask: int) -> int:
-    """Bitmask of U(g, c, d): the pair is distillable exactly when all of it is 1."""
-    out = 0
-    for m in _separating_labels(n, group_masks, cmask, dmask):
-        out |= 1 << (m - 1)
-    return out
+def _label_set(unions: Sequence[int], inside: Sequence[int], i: int, j: int) -> int:
+    """Bitmask of U(g, c, d) for groups i and j: the pair is distillable exactly when all of it is 1."""
+    separating = inside[i] ^ inside[j]
+    return sum(1 << (u - 1) for s, u in enumerate(unions) if separating >> s & 1)
 
 
 def _compile(
@@ -365,13 +329,13 @@ def _compile(
     """
     ones = 0
     for grouping, c, d in activate:
-        cset, dset = _resolve_pair(n, grouping, c, d)
-        ones |= _label_set(n, grouping.masks, party_bitmask(cset), party_bitmask(dset))
+        i, j = _resolve_pair(n, grouping, c, d)
+        ones |= _label_set(*_union_table(grouping.masks), i, j)
     zeros = [1 << (m - 1) for m in zero_labels]
     for grouping in silent:
         _check_grouping(n, grouping)
-        masks = grouping.masks
-        zeros += [_label_set(n, masks, a, b) for a, b in combinations(masks, 2)]
+        unions, inside = _union_table(grouping.masks)
+        zeros += [_label_set(unions, inside, i, j) for i, j in combinations(range(len(inside)), 2)]
     assert ones, "a requirement without a demanded activation does not imply entanglement"
     return Clauses(n, ones, tuple(zeros))
 

@@ -43,7 +43,10 @@ def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int
     ps = frozenset(parties)
     if not ps:
         raise ValueError(f"{what} must not be empty")
-    bad = [p for p in ps if not (isinstance(p, int) and 1 <= p <= n)]
+    for p in ps:
+        if type(p) is not int:
+            raise ValueError(f"party {p!r} is not an integer")
+    bad = [p for p in ps if not 1 <= p <= n]
     if bad:
         raise ValueError(f"{what} contains parties outside 1..{n}: {sorted(bad)}")
     return ps
@@ -158,13 +161,6 @@ class FamilyState:
 
     def total_weight(self) -> float:
         return self.lam0_plus + self.lam0_minus + 2.0 * sum(self.lam)
-
-
-def npt_indicator(state: FamilyState, split: Splitting) -> int:
-    """Distillability indicator of `state` across `split` (1 = distillable)."""
-    if split.n != state.n:
-        raise ValueError(f"splitting is for n={split.n}, state has n={state.n}")
-    return state.indicator(split.mask)
 
 
 def validate(state: FamilyState) -> list[str]:

@@ -24,6 +24,7 @@ from entact import (
     separating_splittings,
     straddles,
 )
+from entact.analysis import _compile
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -342,6 +343,28 @@ def test_compiled_requirement_matches_reference(name, reference):
     for value in range(1 << 15):
         want = reference(Specification.from_int(5, value))
         assert clauses.holds(value) == want, (name, value)
+
+
+def _reference_label_set(grouping, c, d):
+    """Bitmask of the splittings separating c from d that no group straddles, by plain scan."""
+    return sum(
+        1 << (sp.mask - 1) for sp in separating_splittings(grouping.n, c, d)
+        if not any(straddles(sp, g) for g in grouping.groups)
+    )
+
+
+def test_compiled_clauses_match_reference_scan():
+    for n in range(3, 7):
+        for part in iter_set_partitions(n):
+            grouping = Grouping.from_sets(n, part)
+            pairs = list(combinations(grouping.groups, 2))
+            for c, d in pairs:
+                want = _reference_label_set(grouping, c, d)
+                assert _compile(n, [(grouping, c, d)], []).ones == want
+                assert _compile(n, [(grouping, d, c)], []).ones == want
+            if pairs:
+                clauses = _compile(n, [(grouping, *pairs[0])], [grouping])
+                assert clauses.zeros == tuple(_reference_label_set(grouping, c, d) for c, d in pairs)
 
 
 def test_search_returns_descending_first_match():

@@ -10,7 +10,6 @@ from entact import (
     Grouping,
     Specification,
     Splitting,
-    npt_indicator,
     parties_from_bitmask,
     party_bitmask,
     separating_splittings,
@@ -54,6 +53,26 @@ def test_from_side_complements_when_anchor_included():
         Splitting.from_side(3, {0, 1})
 
 
+def test_from_side_rejects_float_party():
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        Splitting.from_side(4, {1.0})
+
+
+def test_from_side_rejects_string_party():
+    with pytest.raises(ValueError, match="party '1' is not an integer"):
+        Splitting.from_side(4, {"1", 9})
+
+
+def test_reference_scan_rejects_bool_party():
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        separating_splittings(4, {True}, {2})
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        straddles(Splitting(4, 5), {True, 2})
+    # integers out of range keep their message
+    with pytest.raises(ValueError, match=r"side contains parties outside 1\.\.4: \[0, 9\]"):
+        Splitting.from_side(4, {0, 1, 9})
+
+
 @given(st.integers(min_value=0, max_value=1023))
 def test_party_bitmask_roundtrip(mask):
     assert party_bitmask(parties_from_bitmask(mask)) == mask
@@ -69,9 +88,7 @@ def test_worked_three_party_state():
     assert s.coefficient(2) == 0.25
     with pytest.raises(ValueError):
         s.coefficient(4)
-    assert npt_indicator(s, Splitting(3, 1)) == 1
-    with pytest.raises(ValueError):
-        npt_indicator(s, Splitting(4, 1))
+    assert s.indicator(1) == 1
 
 
 def test_from_unnormalized_normalizes():

@@ -137,6 +137,12 @@ def test_join_povm_weight_validation():
         join_povm(state, {1})
 
 
+def test_join_povm_rejects_non_integer_party():
+    # True equals party 1 as a set member, but it names no party
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        join_povm(example_state("VI"), [2, True])
+
+
 def test_project_to_effective_pair():
     state = random_family_state(4, seed=4)
     split = Splitting(4, 3)
