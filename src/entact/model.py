@@ -39,13 +39,18 @@ def parties_from_bitmask(mask: int) -> frozenset[int]:
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
 
 
+def _check_party(p: object) -> int:
+    """A party number must be a plain int; True or 1.0 would pass for party 1."""
+    if type(p) is not int:
+        raise ValueError(f"party {p!r} is not an integer")
+    return p
+
+
 def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int]:
-    ps = frozenset(parties)
+    # each element is checked before it is hashed, so no impostor dedupes away
+    ps = frozenset(map(_check_party, parties))
     if not ps:
         raise ValueError(f"{what} must not be empty")
-    for p in ps:
-        if type(p) is not int:
-            raise ValueError(f"party {p!r} is not an integer")
     bad = [p for p in ps if not 1 <= p <= n]
     if bad:
         raise ValueError(f"{what} contains parties outside 1..{n}: {sorted(bad)}")
@@ -303,11 +308,9 @@ class Grouping:
         pairs = []
         union = 0
         for g in self.groups:
-            group = frozenset(g)
+            group = frozenset(map(_check_party, g))
             mask = 0
             for p in group:
-                if type(p) is not int:
-                    raise ValueError(f"party {p!r} is not an integer")
                 if 1 <= p <= n:
                     mask |= 1 << (p - 1)
                 else:
@@ -348,7 +351,7 @@ class Grouping:
     @classmethod
     def with_joined(cls, n: int, *joined: Iterable[int]) -> "Grouping":
         """Grouping with the given multi-party groups; everyone else stays single."""
-        groups = [frozenset(g) for g in joined]
+        groups = [frozenset(map(_check_party, g)) for g in joined]
         taken = set().union(*groups) if groups else set()
         groups.extend(frozenset({i}) for i in range(1, n + 1) if i not in taken)
         return cls(n, tuple(groups))

@@ -6,6 +6,16 @@ assembled as sums of basis projectors, separability across a splitting
 is decided by an actual partial transpose and eigensolve, and the
 protocol operations are carried out index by index.  That independence
 is the point; the fast route is validated against this one.
+
+The family's states are diagonal in a basis of real vectors with real
+weights, so their matrices, and every partial transpose of them, are
+real symmetric: `build_density` returns float64.  Every other function
+keeps the dtype of the matrix it is given, and `np.linalg.eigvalsh`
+picks the real or the complex solver from it, so a complex Hermitian
+input (the same state after a local phase, say) is still accepted and
+goes through the same code.  Only the scalar type differs; the route
+stays an explicit sum of projectors, a partial transpose and a full
+eigensolve.
 """
 from __future__ import annotations
 
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FamilyState, Splitting
+from .model import FamilyState, Splitting, _check_party, _check_party_set
 
 DENSE_PARTY_CAP = 8
 
@@ -48,7 +58,7 @@ def _pair_index(n: int, label: int) -> int:
 
 
 def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
-    """One basis vector: the label's bit pattern superposed with its complement."""
+    """One real basis vector: the label's bit pattern superposed with its complement."""
     _check_cap(n)
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -57,7 +67,7 @@ def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     dim = 1 << n
-    v = np.zeros(dim, dtype=np.complex128)
+    v = np.zeros(dim, dtype=np.float64)
     idx = _pair_index(n, label)
     v[idx] = 1.0 / math.sqrt(2.0)
     v[dim - 1 - idx] = sign / math.sqrt(2.0)
@@ -65,29 +75,27 @@ def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
 
 
 def build_density(state: FamilyState) -> np.ndarray:
-    """Assemble the state as an explicit sum of basis projectors."""
+    """Assemble the state as an explicit sum of basis projectors, in float64."""
     _check_cap(state.n)
     dim = 1 << state.n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho = np.zeros((dim, dim), dtype=np.float64)
     for sign, weight in ((1, state.lam0_plus), (-1, state.lam0_minus)):
         v = ghz_basis_vector(state.n, 0, sign)
-        rho += weight * np.outer(v, v.conj())
+        rho += weight * np.outer(v, v)
     for label in range(1, state.label_count + 1):
         weight = state.lam[label - 1]
         if weight == 0.0:
             continue
         for sign in (1, -1):
             v = ghz_basis_vector(state.n, label, sign)
-            rho += weight * np.outer(v, v.conj())
+            rho += weight * np.outer(v, v)
     return rho
 
 
 def partial_transpose(mat: np.ndarray, parties) -> np.ndarray:
     """Transpose the given parties' indices only."""
     n = _party_count(mat)
-    ps = set(parties)
-    if any(not 1 <= p <= n for p in ps):
-        raise ValueError(f"parties must lie in 1..{n}")
+    ps = _check_party_set(n, parties, "parties")
     tensor = mat.reshape([2] * (2 * n))
     axes = list(range(2 * n))
     for p in ps:
@@ -129,10 +137,10 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
 
     Indicator 1 must show a partial-transpose eigenvalue below -tol;
     indicator 0 must not.  Exact boundary states land on the separable
-    side in both routes.  A negative or non-finite tol is rejected.
+    side in both routes.  A negative, non-finite or bool tol is rejected.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    if type(tol) is bool or not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     _check_cap(state.n)
     rho = build_density(state)
     checks = []
@@ -175,7 +183,7 @@ def coefficients_from_density(mat: np.ndarray, tol: float = 1e-10) -> FamilyStat
 def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:
     """Dense counterpart of measure_out_party: balanced-basis result, renormalized."""
     n = _party_count(mat)
-    if not 1 <= party < n:
+    if not 1 <= _check_party(party) < n:
         raise ValueError(f"party must lie in 1..{n - 1}; the anchor party stays")
     tensor = mat.reshape([2] * (2 * n))
     sub = 0.5 * tensor.sum(axis=(party - 1, n + party - 1))
@@ -187,8 +195,8 @@ def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:
 def join_dense(mat: np.ndarray, parties) -> np.ndarray:
     """Dense counterpart of join_povm: keep the indices where all members agree."""
     n = _party_count(mat)
-    members = sorted(set(parties))
-    if len(members) < 2 or any(not 1 <= p <= n for p in members):
+    members = sorted(_check_party_set(n, parties, "parties"))
+    if len(members) < 2:
         raise ValueError(f"need at least two parties within 1..{n}")
     keep = np.array(
         [len({z >> (n - p) & 1 for p in members}) == 1 for z in range(1 << n)], dtype=np.float64
@@ -216,7 +224,7 @@ def effective_pair_dense(mat: np.ndarray, split: Splitting) -> np.ndarray:
 def permute_dense(mat: np.ndarray, order) -> np.ndarray:
     """Dense counterpart of permute_parties: new party i is old party order[i-1]."""
     n = _party_count(mat)
-    order = tuple(order)
+    order = tuple(map(_check_party, order))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}")
     row_axes = [order[pos] - 1 for pos in range(n)]

@@ -193,6 +193,27 @@ def test_grouping_rejects_non_integer_party():
         Grouping(2, ({"1"}, {2}))
 
 
+def test_impostor_next_to_its_integer_is_rejected_not_deduplicated():
+    # True == 1.0 == 1 hash alike, so a set would fold them into party 1
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        Splitting.from_side(4, [1, True])
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        separating_splittings(4, [1, 1.0], [2])
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        Grouping(4, ([1, True], [2], [3], [4]))
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        Grouping(4, ([1, 1.0], [2], [3], [4]))
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        Grouping.with_joined(4, [1, True])
+
+
+def test_unhashable_party_is_named():
+    with pytest.raises(ValueError, match=r"party \[1\] is not an integer"):
+        Splitting.from_side(4, [[1]])
+    with pytest.raises(ValueError, match=r"party \[1\] is not an integer"):
+        Grouping(4, ([[1]], [2], [3], [4]))
+
+
 def test_grouping_rejects_bad_party_count():
     for n in (0, -1, True, 2.0, "2"):
         with pytest.raises(ValueError, match=f"n={n!r}"):

@@ -1,10 +1,12 @@
 """Dense brute-force oracle: density matrices, partial transpose, agreement."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from entact import FamilyState, Splitting, random_family_state
+from entact import FamilyState, Splitting, example_state, random_family_state
 from entact.oracle import (
     DENSE_PARTY_CAP,
     build_density,
@@ -176,3 +178,77 @@ def test_permute_dense_swaps_axes():
         permute_dense(mat, (1, 2))
     with pytest.raises(ValueError):
         permute_dense(mat, (1, 2, 2))
+
+
+def _complex_projector_sum(state: FamilyState) -> np.ndarray:
+    """The state written out independently, as complex vectors and projectors."""
+    n, dim = state.n, 1 << state.n
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    weights = [(0, 1, state.lam0_plus), (0, -1, state.lam0_minus)]
+    weights += [(k, s, w) for k, w in enumerate(state.lam, start=1) for s in (1, -1)]
+    for label, sign, weight in weights:
+        # party i < n is flipped when bit i - 1 of the label is set; party 1 is the top bit
+        idx = sum(1 << (n - i) for i in range(1, n) if label >> (i - 1) & 1)
+        v = np.zeros(dim, dtype=np.complex128)
+        v[idx] = 1 / math.sqrt(2)
+        v[dim - 1 - idx] = sign / math.sqrt(2)
+        rho += weight * np.outer(v, v.conj())
+    return rho
+
+
+def _sample_states():
+    yield example_state("VI")
+    yield example_state("VII")
+    yield example_state("V", 3)
+    yield example_state("IV", 6, j=2)
+    for n in range(3, 7):
+        for seed in range(2):
+            yield random_family_state(n, seed)
+
+
+def test_family_matrices_are_real():
+    assert ghz_basis_vector(4, 5, -1).dtype == np.float64
+    for state in _sample_states():
+        mat = build_density(state)
+        assert mat.dtype == np.float64
+        assert np.abs(mat - _complex_projector_sum(state)).max() <= 1e-15
+        assert partial_transpose(mat, [1]).dtype == np.float64
+
+
+def test_complex_hermitian_input_matches_the_real_route():
+    # a local phase diag(1, e^{i phi}) on one party makes the matrix truly
+    # complex and leaves every partial-transpose spectrum unchanged
+    for k, state in enumerate(_sample_states()):
+        n = state.n
+        rho = build_density(state)
+        party = k % n + 1
+        bit = np.arange(1 << n) >> (n - party) & 1
+        phase = np.exp(1j * 0.7 * bit)
+        twisted = phase[:, None] * rho * phase.conj()[None, :]
+        assert twisted.dtype == np.complex128
+        assert np.abs(twisted.imag).max() > 0.01
+        for mask in range(1, state.label_count + 1):
+            split = Splitting(n, mask)
+            assert min_pt_eigenvalue(twisted, split) == pytest.approx(
+                min_pt_eigenvalue(rho, split), abs=1e-12
+            )
+
+
+def test_oracle_party_arguments_must_be_integers():
+    mat = build_density(random_family_state(3, seed=1))
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        partial_transpose(mat, [True])
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        partial_transpose(mat, [1.0])
+    with pytest.raises(ValueError, match="party '1' is not an integer"):
+        partial_transpose(mat, ["1"])
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        join_dense(mat, [True, 2])
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        measure_plus_dense(mat, True)
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        measure_plus_dense(mat, 1.0)
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        permute_dense(mat, (True, 2, 3))
+    with pytest.raises(ValueError, match="tolerance"):
+        ppt_agreement_report(random_family_state(3, seed=1), tol=True)
