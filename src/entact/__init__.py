@@ -35,8 +35,6 @@ from .model import (
     Splitting,
     parties_from_bitmask,
     party_bitmask,
-    separating_splittings,
-    straddles,
     validate,
 )
 from .protocols import (
@@ -89,7 +87,5 @@ __all__ = [
     "random_family_state",
     "required_amplification",
     "search_specifications",
-    "separating_splittings",
-    "straddles",
     "validate",
 ]

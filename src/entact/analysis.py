@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import FamilyState, Grouping, Specification, Splitting
+from .model import FamilyState, Grouping, Specification, Splitting, _check_size
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
@@ -215,8 +215,7 @@ def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, .
     canonical order of a Grouping.  With `blocks` set, only partitions
     with exactly that many blocks.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n, 1, "partition")
     if blocks is not None and blocks < 1:
         raise ValueError("blocks must be at least 1")
     if blocks is not None and blocks > n:
@@ -250,9 +249,8 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
 
     With `blocks` set, only partitions with exactly that many blocks.
     """
-    parties = range(1, n + 1)
     for masks in _partition_masks(n, blocks):
-        yield tuple(tuple(p for p in parties if m >> (p - 1) & 1) for m in masks)
+        yield tuple(tuple(p for p in range(1, n + 1) if m >> (p - 1) & 1) for m in masks)
 
 
 def classify_groupings(
@@ -390,8 +388,7 @@ def search_specifications(
     The candidate count doubles with every label, hence the guard;
     raising max_n past 5 is the caller's own risk.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_size(n, 2, "search")
     if isinstance(requirement, Clauses):
         requirement._check_n(n)
         test = requirement.holds

@@ -239,9 +239,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"sweeping all groupings of {state.n} parties is a large enumeration; "
                 f"pass --guard {state.n} to confirm"
             )
-        reports = list(
-            classify_groupings(state, guard=args.guard, two_groups_only=args.two_groups_only)
-        )
+        reports = classify_groupings(state, guard=args.guard, two_groups_only=args.two_groups_only)
         if args.pretty:
             for rep in reports:
                 flags = " ".join(
@@ -251,15 +249,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 )
                 print(f"{str(rep.grouping):<24} {flags}")
         else:
-            _emit(
-                {
-                    "schema": STATE_SCHEMA,
-                    "kind": "grouping-sweep",
-                    "n": state.n,
-                    "count": len(reports),
-                    "reports": [_report_fields(r) for r in reports],
-                }
-            )
+            docs = [_report_fields(r) for r in reports]
+            _emit({"schema": STATE_SCHEMA, "kind": "grouping-sweep", "n": state.n,
+                   "count": len(docs), "reports": docs})
         return 0
 
     grouping = _parse_grouping(state.n, args.grouping)
@@ -392,18 +384,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     requirement = BUILTIN_REQUIREMENTS[args.requirement]()
-    result = search_specifications(args.n, requirement)
+    result = search_specifications(requirement.n, requirement)
     if args.pretty:
         if result is None:
-            print(f"no specification over {args.n} parties meets '{args.requirement}'")
+            print(f"no specification over {requirement.n} parties meets '{args.requirement}'")
         else:
-            print(f"found a specification over {args.n} parties for '{args.requirement}':")
+            print(f"found a specification over {requirement.n} parties for '{args.requirement}':")
             print(f"  distillable labels: {', '.join(map(str, result.ones()))}")
     else:
         doc: dict[str, Any] = {
             "schema": STATE_SCHEMA,
             "kind": "search",
-            "n": args.n,
+            "n": requirement.n,
             "requirement": args.requirement,
             "found": result is not None,
         }
@@ -481,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     sea = sub.add_parser("search", help="first specification meeting a built-in requirement")
-    sea.add_argument("--n", type=int, default=5, help="party count (default 5)")
     sea.add_argument("--requirement", required=True, choices=sorted(BUILTIN_REQUIREMENTS),
                      help="which built-in requirement to satisfy")
     sea.add_argument("--pretty", action="store_true", help="sentence instead of JSON")

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Iterable
 
-from .model import FamilyState, Specification, Splitting
+from .model import FamilyState, Specification, Splitting, _check_size
 
 _CATALOG = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -87,8 +87,7 @@ def example_pattern(
         n = fixed[key]
     elif n is None:
         raise ValueError(f"pattern {key} needs n")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_size(n, 2, "pattern")
 
     if key == "I":
         if not 1 <= j <= n - 1:
@@ -154,8 +153,7 @@ def random_family_state(n: int, seed: int) -> FamilyState:
     0.45) or well above it (ratio 1.1 to 1.55), so comparisons against
     the dense route never hinge on ties.  Same seed, same state.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_size(n, 2, "random state")
     rng = random.Random(seed)
     lam0_minus = rng.uniform(0.0, 0.3)
     gap = rng.uniform(0.5, 1.0)

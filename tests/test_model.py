@@ -1,6 +1,8 @@
 """Core model: splittings, states, groupings, specifications."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,16 @@ from entact import (
     Grouping,
     Specification,
     Splitting,
+    example_pattern,
+    iter_set_partitions,
     parties_from_bitmask,
     party_bitmask,
-    separating_splittings,
-    straddles,
+    random_family_state,
+    search_specifications,
     validate,
 )
+from entact.oracle import ghz_basis_vector
+from reference import separating_splittings, straddles
 
 
 def test_splitting_label_bounds():
@@ -27,6 +33,36 @@ def test_splitting_label_bounds():
         Splitting(3, 4)
     with pytest.raises(ValueError):
         Splitting(1, 1)
+
+
+def test_splitting_rejects_non_integer_input():
+    with pytest.raises(ValueError, match="splitting label True is not an integer"):
+        Splitting(4, True)
+    with pytest.raises(ValueError, match=r"splitting label 1\.0 is not an integer"):
+        Splitting(4, 1.0)
+    with pytest.raises(ValueError, match=r"integer n of at least 2, got n=4\.0"):
+        Splitting(4.0, 1)
+    with pytest.raises(ValueError, match=r"got n=1$"):
+        Splitting(1, 1)
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        Splitting(4, 3).bit(1.0)
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        Splitting(4, 3).bit(True)
+
+
+def test_every_layer_applies_one_party_count_rule():
+    for call, what in (
+        (lambda n: random_family_state(n, 1), "a random state"),
+        (lambda n: example_pattern("V", n), "a pattern"),
+        (lambda n: search_specifications(n, lambda spec: True), "a search"),
+        (lambda n: ghz_basis_vector(n, 0, 1), "a basis vector"),
+    ):
+        for n in (1, 3.0, True):
+            message = rf"{what} needs an integer n of at least 2, got n={re.escape(repr(n))}$"
+            with pytest.raises(ValueError, match=message):
+                call(n)
+    with pytest.raises(ValueError, match=r"a partition needs an integer n of at least 1, got n=2\.0"):
+        next(iter_set_partitions(2.0))
 
 
 def test_splitting_sides_and_bits():

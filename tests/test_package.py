@@ -36,3 +36,41 @@ def test_oracle_imports_only_model():
         elif isinstance(node, ast.Import):
             local.update(alias.name for alias in node.names if alias.name.startswith("entact"))
     assert local == {".model"}
+
+
+def _imports(tree: ast.Module) -> tuple[dict[str, str], set[str]]:
+    """Each name a module binds by import, mapped to its source, and every module it imports."""
+    names: dict[str, str] = {}
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules.add(alias.name)
+                names[alias.asname or alias.name.partition(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            modules.add(module)
+            for alias in node.names:
+                modules.add(f"{module}.{alias.name}")
+                names[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return names, modules
+
+
+def test_package_modules_use_every_import_and_leave_the_test_reference_alone():
+    # the reference scans live under tests/ so that no package code can share them
+    problems = []
+    for path in sorted((ROOT / "src" / "entact").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = _imports(tree)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            # a name listed in __all__ is re-exported, which counts as a use
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(elt.value for elt in node.value.elts)
+        problems += [f"{path.name}: {name} ({source}) is never used"
+                     for name, source in names.items() if name not in used]
+        problems += [f"{path.name}: imports {module}"
+                     for module in modules if "reference" in module.lstrip(".").split(".")]
+    assert problems == []

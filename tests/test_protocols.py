@@ -100,6 +100,19 @@ def test_measure_out_guards():
         measure_out_party(random_family_state(2, seed=1), 1)
 
 
+def test_protocol_moves_reject_non_integer_party():
+    # True and 1.0 would pass for party 1 in a range test
+    state = random_family_state(4, 1)
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        measure_out_party(state, True)
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        measure_out_party(state, 1.0)
+    with pytest.raises(ValueError, match=r"party 1\.0 is not an integer"):
+        required_amplification(state, 1.0)
+    with pytest.raises(ValueError, match="party True is not an integer"):
+        permute_parties(state, (True, 2, 3, 4))
+
+
 def test_required_amplification_worked_case():
     state = FamilyState(3, 0.3, 0.0, (0.15, 0.1, 0.1))
     # merging labels 2 and 3 over party 1 gives 0.2 > 0.15 = half the gap
