@@ -11,7 +11,9 @@ the splittings no group straddles, which are the unions of the groups
 lacking party n, and for each group the unions that hold it.  A union
 separates two groups exactly when it holds one of them, so
 `grouping_report`, the single-pair verdicts and the clauses of
-`_compile` are all reads of that table.
+`_compile` are all reads of that table.  Groups distill exactly when
+the same indicator-0 unions hold both: distillability within a grouping
+is an equivalence, whose classes are the GHZ-capable collections.
 """
 from __future__ import annotations
 
@@ -19,11 +21,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import FamilyState, Grouping, Specification, Splitting, _check_size
+from .model import FamilyState, Grouping, Specification, Splitting, _check_size, _party_text
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
 _Memo = tuple[dict[int, Splitting], dict[tuple[int, int, int], "PairVerdict"]]
+
+# Verdicts a sweep's memo holds before it starts afresh (the largest n = 8 sweep seen: 8,231).
+_MEMO_CAP = 1 << 14
 
 
 def _union_table(group_masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -83,7 +88,7 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
             raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
     if cset == dset:
         raise ValueError(
-            f"c and d are the same group {','.join(map(str, sorted(cset)))}; "
+            f"c and d are the same group {_party_text(cset)}; "
             "a pair needs two different groups"
         )
     return groups.index(cset), groups.index(dset)
@@ -133,7 +138,7 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class GroupingReport:
-    """All pair verdicts under one grouping plus the best joint collection."""
+    """Pair verdicts of one grouping, an equivalence on its groups, and `ghz`, its largest class."""
 
     grouping: Grouping
     pairs: tuple[PairVerdict, ...]
@@ -149,38 +154,17 @@ class GroupingReport:
         return next(pv for pv in self.pairs if {pv.c, pv.d} == {groups[i], groups[j]})
 
 
-def _largest_clique(adj: Sequence[int]) -> int:
-    """Largest clique of the graph with neighbour rows `adj`, smallest on ties.
-
-    clique[sub] holds when sub minus its lowest member is a clique all
-    adjacent to that member; the first sub of each new size wins.
-    """
-    if not any(adj):
-        return 1
-    clique = bytearray(1 << len(adj))
-    clique[0] = 1
-    best = best_size = 0
-    for sub in range(1, 1 << len(adj)):
-        low = sub & -sub
-        rest = sub ^ low
-        if clique[rest] and not rest & ~adj[low.bit_length() - 1]:
-            clique[sub] = 1
-            size = sub.bit_count()
-            if size > best_size:
-                best, best_size = sub, size
-    return best
-
-
 def grouping_report(
     state: FamilyState | Specification, grouping: Grouping, *, _memo: _Memo | None = None
 ) -> GroupingReport:
-    """Verdict for every pair of groups, plus the largest GHZ-capable clique.
+    """Verdict for every pair of groups, plus the largest GHZ-capable collection.
 
-    A collection of groups can share a GHZ-type state exactly when every
-    pair in the collection is distillable, so the `ghz` field is the
-    largest clique in the pair graph (smallest such clique on ties).
-    The report depends on the indicator vector alone, as every verdict
-    does.
+    Groups i and j distill exactly when their signatures, the
+    indicator-0 unions holding each, are equal, so the groups whose
+    pairs all distill, which can share a GHZ-type state, are the classes
+    of equal signatures, and `ghz` is the largest class (on ties, the one
+    with the lowest group-index bitmask).  The report depends on the
+    indicator vector alone, as every verdict does.
     """
     _check_grouping(state.n, grouping)
     groups = grouping.groups
@@ -188,11 +172,12 @@ def grouping_report(
     k = len(groups)
     unions, inside = _union_table(masks)
     zero = _zero_unions(state.indicator_vector(), unions)
+    sig = [zero & s for s in inside]
     splits, verdicts = ({0: None}, {}) if _memo is None else _memo
     pairs = []
-    adj = [0] * k
+    linked = False
     for i, j in combinations(range(k), 2):
-        label = _lowest_label(unions, zero & (inside[i] ^ inside[j]))
+        label = _lowest_label(unions, sig[i] ^ sig[j])
         key = (masks[i], masks[j], label)
         pv = verdicts.get(key)
         if pv is None:
@@ -200,10 +185,13 @@ def grouping_report(
                 splits[label] = Splitting(state.n, label)
             pv = verdicts[key] = PairVerdict(groups[i], groups[j], not label, splits[label])
         pairs.append(pv)
-        if not label:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    best = _largest_clique(adj)
+        linked = linked or not label
+    best = 1
+    if linked:
+        classes: dict[int, int] = {}
+        for i, s in enumerate(sig):
+            classes[s] = classes.get(s, 0) | 1 << i
+        best = min(classes.values(), key=lambda c: (-c.bit_count(), c))
     ghz = tuple(groups[i] for i in range(k) if best >> i & 1)
     return GroupingReport(grouping, tuple(pairs), ghz)
 
@@ -261,7 +249,8 @@ def classify_groupings(
     The reports read the indicator vector alone.  The reports of one
     sweep share their immutable PairVerdict and Splitting objects: a
     pair of groups that meets the same verdict in many groupings holds
-    one object for all of them.  The number of set partitions grows
+    one object for all of them, until the memo reaches `_MEMO_CAP`
+    verdicts and starts afresh.  The number of set partitions grows
     very fast, hence the guard on the party count; raise it knowingly.
     """
     if state.n > guard:
@@ -272,6 +261,8 @@ def classify_groupings(
     blocks = 2 if two_groups_only else None
     memo: _Memo = ({0: None}, {})
     for masks in _partition_masks(state.n, blocks):
+        if len(memo[1]) >= _MEMO_CAP:
+            memo = ({0: None}, {})
         yield grouping_report(state, Grouping.from_masks(state.n, masks), _memo=memo)
 
 

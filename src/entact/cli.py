@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from itertools import accumulate
+from typing import Any, Iterable
 
 from . import __version__
 from .analysis import (
@@ -32,7 +33,7 @@ from .analysis import (
     search_specifications,
 )
 from .construct import example_state, from_specification, random_family_state
-from .model import FamilyState, Grouping, Specification, Splitting, validate
+from .model import FamilyState, Grouping, Specification, Splitting, _party_text, validate
 from .protocols import PipelineTrace, distill_pipeline
 
 STATE_SCHEMA = 1
@@ -149,8 +150,7 @@ def _pair_groups(grouping: Grouping, pair: list[int]) -> tuple[frozenset[int], f
     group = grouping.group_of(first)
     if second in group:
         raise ValueError(
-            f"parties {first} and {second} are in the same group "
-            f"{','.join(map(str, sorted(group)))}"
+            f"parties {first} and {second} are in the same group {_party_text(group)}"
         )
     return group, grouping.group_of(second)
 
@@ -181,6 +181,27 @@ def _report_fields(rep: GroupingReport) -> dict[str, Any]:
 def _emit(doc: dict[str, Any]) -> None:
     # dumps runs the C encoder; dump would stream through the Python one
     sys.stdout.write(json.dumps(doc) + "\n")
+
+
+def _emit_stream(head: dict[str, Any], key: str, items: Iterable[Any]) -> None:
+    """Write the bytes of _emit(head | {key: list(items)}), one item at a time."""
+    out = sys.stdout
+    out.write(json.dumps(head)[:-1] + f", {json.dumps(key)}: [")
+    sep = ""
+    for item in items:
+        out.write(sep + json.dumps(item))
+        sep = ", "
+    out.write("]}\n")
+
+
+def _partition_count(n: int, two_groups_only: bool) -> int:
+    """Number of groupings a sweep reports: 2^(n-1) - 1 two-group splits, or the Bell number."""
+    if two_groups_only:
+        return (1 << (n - 1)) - 1
+    row = [1]  # the Bell triangle: each row starts with the last entry of the row above
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
 
 
 def _print_state_pretty(state: FamilyState) -> None:
@@ -243,15 +264,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.pretty:
             for rep in reports:
                 flags = " ".join(
-                    f"({','.join(map(str, sorted(pv.c)))})x({','.join(map(str, sorted(pv.d)))})"
+                    f"({_party_text(pv.c)})x({_party_text(pv.d)})"
                     f"={'yes' if pv.distillable else 'no'}"
                     for pv in rep.pairs
                 )
                 print(f"{str(rep.grouping):<24} {flags}")
         else:
-            docs = [_report_fields(r) for r in reports]
-            _emit({"schema": STATE_SCHEMA, "kind": "grouping-sweep", "n": state.n,
-                   "count": len(docs), "reports": docs})
+            count = _partition_count(state.n, args.two_groups_only)
+            _emit_stream({"schema": STATE_SCHEMA, "kind": "grouping-sweep", "n": state.n,
+                          "count": count}, "reports", map(_report_fields, reports))
         return 0
 
     grouping = _parse_grouping(state.n, args.grouping)
@@ -261,8 +282,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.pretty:
             wit = f" (blocked by {pv.witness})" if pv.witness else ""
             word = "distillable" if pv.distillable else "not distillable"
-            print(f"pair ({','.join(map(str, sorted(pv.c)))}) x "
-                  f"({','.join(map(str, sorted(pv.d)))}): {word}{wit}")
+            print(f"pair ({_party_text(pv.c)}) x ({_party_text(pv.d)}): {word}{wit}")
         else:
             doc = {"schema": STATE_SCHEMA, "kind": "pair-verdict", "n": state.n,
                    "grouping": grouping.as_lists()}
@@ -275,9 +295,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for pv in rep.pairs:
             wit = f"  blocked by {pv.witness}" if pv.witness else ""
             word = "yes" if pv.distillable else "no "
-            print(f"  ({','.join(map(str, sorted(pv.c)))}) x "
-                  f"({','.join(map(str, sorted(pv.d)))})  {word}{wit}")
-        print("  ghz clique: " + " ".join(f"({','.join(map(str, sorted(g)))})" for g in rep.ghz))
+            print(f"  ({_party_text(pv.c)}) x ({_party_text(pv.d)})  {word}{wit}")
+        print("  ghz clique: " + " ".join(f"({_party_text(g)})" for g in rep.ghz))
     else:
         doc = {"schema": STATE_SCHEMA, "kind": "grouping-report", "n": state.n}
         doc.update(_report_fields(rep))

@@ -39,6 +39,11 @@ def parties_from_bitmask(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _party_text(parties: Iterable[int]) -> str:
+    """The one text form of a party set: its members in ascending order, comma-separated."""
+    return ",".join(map(str, sorted(parties)))
+
+
 # the party sets of group masks, shared by every Grouping.from_masks:
 # a sweep meets each of its at most 2^n - 1 group masks many times
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
@@ -191,10 +196,11 @@ class FamilyState:
 
 def validate(state: FamilyState) -> list[str]:
     """Report invariant violations instead of raising; an empty list means valid."""
+    try:
+        _check_size(state.n, 2, "state")
+    except ValueError as exc:
+        return [str(exc)]
     problems: list[str] = []
-    if state.n < 2:
-        problems.append(f"party count {state.n} below 2")
-        return problems
     want = (1 << (state.n - 1)) - 1
     if len(state.lam) != want:
         problems.append(f"coefficient array has length {len(state.lam)}, expected {want}")
@@ -314,11 +320,13 @@ class Grouping:
 
     @classmethod
     def all_separate(cls, n: int) -> "Grouping":
+        _check_size(n, 1, "grouping")
         return cls(n, tuple(frozenset({i}) for i in range(1, n + 1)))
 
     @classmethod
     def with_joined(cls, n: int, *joined: Iterable[int]) -> "Grouping":
         """Grouping with the given multi-party groups; everyone else stays single."""
+        _check_size(n, 1, "grouping")
         groups = [frozenset(map(_check_party, g)) for g in joined]
         taken = set().union(*groups) if groups else set()
         groups.extend(frozenset({i}) for i in range(1, n + 1) if i not in taken)
@@ -334,7 +342,7 @@ class Grouping:
         return [sorted(g) for g in self.groups]
 
     def __str__(self) -> str:
-        return "|".join(",".join(str(p) for p in sorted(g)) for g in self.groups)
+        return "|".join(map(_party_text, self.groups))
 
 
 def _spec_labels(n: int) -> range:

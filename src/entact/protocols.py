@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
-                    _check_party_set, party_bitmask)
+                    _check_party_set, _party_text, party_bitmask)
 
 AMPLIFY_CAP = 64
 
@@ -222,7 +222,7 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
         steps.append(
             PipelineStep(
                 "join",
-                f"joint filter on parties {','.join(map(str, sorted(g)))}",
+                f"joint filter on parties {_party_text(g)}",
                 cur,
                 parties=tuple(sorted(g)),
             )

@@ -22,6 +22,7 @@ from entact import (
     random_family_state,
     search_specifications,
 )
+from entact import analysis
 from entact.analysis import _compile
 from reference import separating_splittings, straddles
 
@@ -149,6 +150,12 @@ def test_grouping_report_matches_pair_path_and_brute_force_clique():
             for pv in report.pairs:
                 assert pv.witness == distillation_witness(state, grouping, pv.c, pv.d)
                 assert pv.distillable == necessary_distillable(state, grouping, pv.c, pv.d)
+            # distillable pairs are transitive, so the GHZ cliques are classes
+            linked = {(pv.c, pv.d) for pv in report.pairs if pv.distillable}
+            linked |= {(d, c) for c, d in linked}
+            for a, b in linked:
+                for b2, c in linked:
+                    assert b != b2 or a == c or (a, c) in linked
             assert report.ghz == _reference_ghz(state, grouping)
 
 
@@ -204,9 +211,11 @@ def test_iter_set_partitions_matches_reference_walk():
             assert list(iter_set_partitions(n, blocks)) == [p for p in want if len(p) == blocks]
 
 
-def test_classify_groupings_matches_report_per_grouping():
+def test_classify_groupings_matches_report_per_grouping(monkeypatch):
     states = list(CATALOG_STATES)
     states += [random_family_state(n, seed) for n in range(3, 8) for seed in range(3)]
+    # a tiny memo cap starts the memo afresh many times per sweep
+    caps = (analysis._MEMO_CAP, 3)
     for state in states:
         n = state.n
         for two_groups_only, blocks in ((False, None), (True, 2)):
@@ -214,11 +223,13 @@ def test_classify_groupings_matches_report_per_grouping():
                 grouping_report(state, Grouping.from_sets(n, part))
                 for part in iter_set_partitions(n, blocks)
             ]
-            got = list(classify_groupings(state, two_groups_only=two_groups_only))
-            assert len(got) == len(want)
-            for mine, ref in zip(got, want):
-                assert mine == ref
-                assert mine.grouping.masks == ref.grouping.masks
+            for cap in caps:
+                monkeypatch.setattr(analysis, "_MEMO_CAP", cap)
+                got = list(classify_groupings(state, two_groups_only=two_groups_only))
+                assert len(got) == len(want)
+                for mine, ref in zip(got, want):
+                    assert mine == ref
+                    assert mine.grouping.masks == ref.grouping.masks
 
 
 def test_classify_groupings_shares_verdict_objects():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from entact import example_state, random_family_state
+from entact import classify_groupings, example_state, random_family_state
 from entact.cli import load_state, main, save_state, state_document, state_from_document
 
 
@@ -221,7 +221,31 @@ def test_analyze_grouping_report(vi_state_file, capsys):
     assert rc == 1
 
 
-def test_analyze_all_groupings_sweep(vi_state_file, capsys):
+def _sweep_document(state, two_groups_only):
+    """The sweep document built from the library, field by field."""
+    reports = [
+        {
+            "grouping": rep.grouping.as_lists(),
+            "pairs": [
+                {
+                    "c": sorted(pv.c),
+                    "d": sorted(pv.d),
+                    "distillable": pv.distillable,
+                    "witness": None if pv.witness is None
+                    else {"mask": pv.witness.mask, "splitting": str(pv.witness)},
+                }
+                for pv in rep.pairs
+            ],
+            "ghz": [sorted(g) for g in rep.ghz],
+            "any_distillable": rep.any_distillable,
+        }
+        for rep in classify_groupings(state, two_groups_only=two_groups_only)
+    ]
+    return {"schema": 1, "kind": "grouping-sweep", "n": state.n,
+            "count": len(reports), "reports": reports}
+
+
+def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
     rc, out, _ = run(capsys, "analyze", "--state", vi_state_file, "--all-groupings")
     assert rc == 0
     doc = json.loads(out)
@@ -231,6 +255,14 @@ def test_analyze_all_groupings_sweep(vi_state_file, capsys):
         capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--two-groups-only"
     )
     assert json.loads(out)["count"] == 7
+    # the streamed document has the bytes of one json.dumps of the whole sweep
+    r6_file = str(tmp_path / "r6.json")
+    save_state(random_family_state(6, seed=2), r6_file)
+    for path in (vi_state_file, r6_file):
+        for flags in ([], ["--two-groups-only"]):
+            rc, out, _ = run(capsys, "analyze", "--state", path, "--all-groupings", *flags)
+            want = _sweep_document(load_state(path), two_groups_only=bool(flags))
+            assert rc == 0 and out == json.dumps(want) + "\n"
     rc, _, err = run(
         capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--assert"
     )

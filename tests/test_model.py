@@ -63,6 +63,17 @@ def test_every_layer_applies_one_party_count_rule():
                 call(n)
     with pytest.raises(ValueError, match=r"a partition needs an integer n of at least 1, got n=2\.0"):
         next(iter_set_partitions(2.0))
+    for n in (4.0, True, 0):
+        message = rf"a grouping needs an integer n of at least 1, got n={re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            Grouping.all_separate(n)
+        with pytest.raises(ValueError, match=message):
+            Grouping.with_joined(n, [1, 2])
+    # validate reports a bad party count and never raises
+    for n in (1, 4.0, True):
+        message = f"a state needs an integer n of at least 2, got n={n!r}"
+        assert validate(FamilyState(n, 0.5, 0.5, ())) == [message]
+        assert validate(FamilyState(n, 0.5, 0.0, (0.0,) * 7)) == [message]
 
 
 def test_splitting_sides_and_bits():
