@@ -125,6 +125,11 @@ class Splitting:
         return frozenset(range(1, self.n + 1)) - self.side_b
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # computed once per instance: a sweep's reports share their splittings
         fmt = lambda side: "".join(f"A{p}" for p in sorted(side))
         return f"({fmt(self.side_a)})-({fmt(self.side_b)})"
 

@@ -7,6 +7,13 @@ is decided by an actual partial transpose and eigensolve, and the
 protocol operations are carried out index by index.  That independence
 is the point; the fast route is validated against this one.
 
+The eigensolve deflates on the matrix's own exact zeros: an index whose
+row and column are zero off the diagonal contributes its diagonal entry
+as an eigenvalue, and the remaining, coupled indices go through one full
+`eigvalsh`.  A family state's partial transpose couples two indices; a
+dense matrix couples all of them and gets one full solve.  No label,
+indicator or family formula enters that step.
+
 The family's states are diagonal in a basis of real vectors with real
 weights, so their matrices, and every partial transpose of them, are
 real symmetric: `build_density` returns float64.  Every other function
@@ -14,8 +21,8 @@ keeps the dtype of the matrix it is given, and `np.linalg.eigvalsh`
 picks the real or the complex solver from it, so a complex Hermitian
 input (the same state after a local phase, say) is still accepted and
 goes through the same code.  Only the scalar type differs; the route
-stays an explicit sum of projectors, a partial transpose and a full
-eigensolve.
+stays an explicit sum of projectors, a partial transpose and a deflated
+eigensolve.  A non-finite entry is refused, never solved.
 """
 from __future__ import annotations
 
@@ -73,20 +80,32 @@ def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
 
 
 def build_density(state: FamilyState) -> np.ndarray:
-    """Assemble the state as an explicit sum of basis projectors, in float64."""
+    """Assemble the state as an explicit sum of basis projectors, in float64.
+
+    Each projector is added on its two-index support only, in the order
+    of the dense sum (every + projector, then every - one; the labels'
+    supports are disjoint), so every entry is bitwise what that sum
+    gives: the cancellations between a label's two projectors leave
+    exact zeros, which `min_pt_eigenvalue` relies on.
+    """
     _check_cap(state.n)
-    dim = 1 << state.n
+    if len(state.lam) != state.label_count:
+        raise ValueError(
+            f"coefficient array has length {len(state.lam)}, expected {state.label_count}"
+        )
+    n, dim = state.n, 1 << state.n
+    idx = np.array([_pair_index(n, label) for label in range(1 << (n - 1))])
+    support = np.stack([idx, dim - 1 - idx], axis=1)
+    rows, cols = support[:, :, None], support[:, None, :]
+    # ghz_basis_vector's entries are +-1/sqrt(2), so each projector holds +-h on its support
+    amp = 1.0 / math.sqrt(2.0)
+    h = amp * amp
+    plus = np.array([[h, h], [h, h]])
+    minus = np.array([[h, -h], [-h, h]])
+    w_plus = np.array((state.lam0_plus, *state.lam), dtype=np.float64)[:, None, None]
+    w_minus = np.array((state.lam0_minus, *state.lam), dtype=np.float64)[:, None, None]
     rho = np.zeros((dim, dim), dtype=np.float64)
-    for sign, weight in ((1, state.lam0_plus), (-1, state.lam0_minus)):
-        v = ghz_basis_vector(state.n, 0, sign)
-        rho += weight * np.outer(v, v)
-    for label in range(1, state.label_count + 1):
-        weight = state.lam[label - 1]
-        if weight == 0.0:
-            continue
-        for sign in (1, -1):
-            v = ghz_basis_vector(state.n, label, sign)
-            rho += weight * np.outer(v, v)
+    rho[rows, cols] = (rho[rows, cols] + w_plus * plus) + w_minus * minus
     return rho
 
 
@@ -106,7 +125,30 @@ def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
     n = _party_count(mat)
     if split.n != n:
         raise ValueError(f"splitting is for n={split.n}, matrix has n={n}")
-    return float(np.linalg.eigvalsh(partial_transpose(mat, split.side_b)).min())
+    if not np.isfinite(mat).all():
+        row, col = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"matrix entry ({row}, {col}) is not finite: {mat[row, col]}")
+    return _min_eigenvalue(partial_transpose(mat, split.side_b))
+
+
+def _min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, deflated on its exact zeros.
+
+    An index whose row and column hold no nonzero entry off the diagonal
+    spans an invariant subspace, so its diagonal entry is an eigenvalue;
+    every other index goes into one full `eigvalsh` of the coupled block.
+    A dense matrix has every index coupled and gets one full solve.
+    """
+    off = mat != 0
+    np.fill_diagonal(off, False)
+    coupled = off.any(axis=0) | off.any(axis=1)
+    low = np.inf
+    if not coupled.all():
+        low = float(mat.diagonal()[~coupled].real.min())
+    if coupled.any():
+        keep = np.flatnonzero(coupled)
+        low = min(low, float(np.linalg.eigvalsh(mat[keep[:, None], keep]).min()))
+    return low
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
-"""Definition-level reference scans that the tests hold the verdict core to.
+"""Definition-level references that the tests hold the package to.
 
 `separating_splittings` lists every splitting that puts two party sets on
 opposite sides, and `straddles` says whether a group has members on both
 sides of a splitting.  The package decides the same questions from one
-table of group unions; these scans stay here, outside the package, so
-that no package code can share the reference it is compared against.
+table of group unions.  `dense_projector_sum` writes a state out as the
+plain sum of full-size basis projectors, which the oracle's support-only
+build must reproduce bit for bit.  These stay here, outside the package,
+so that no package code can share the reference it is compared against.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from entact.model import Splitting, _check_party_set, party_bitmask
+import numpy as np
+
+from entact.model import FamilyState, Splitting, _check_party_set, party_bitmask
+from entact.oracle import ghz_basis_vector
 
 
 def _subset_masks(free: int) -> Iterator[int]:
@@ -58,3 +63,20 @@ def straddles(split: Splitting, group: Iterable[int]) -> bool:
     comp = ((1 << split.n) - 1) ^ split.mask
     return bool(gmask & split.mask) and bool(gmask & comp)
 
+
+
+def dense_projector_sum(state: FamilyState) -> np.ndarray:
+    """The state as a sum of full-size basis projectors, in float64."""
+    dim = 1 << state.n
+    rho = np.zeros((dim, dim), dtype=np.float64)
+    for sign, weight in ((1, state.lam0_plus), (-1, state.lam0_minus)):
+        v = ghz_basis_vector(state.n, 0, sign)
+        rho += weight * np.outer(v, v)
+    for label in range(1, state.label_count + 1):
+        weight = state.lam[label - 1]
+        if weight == 0.0:
+            continue
+        for sign in (1, -1):
+            v = ghz_basis_vector(state.n, label, sign)
+            rho += weight * np.outer(v, v)
+    return rho

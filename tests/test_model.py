@@ -86,6 +86,21 @@ def test_splitting_sides_and_bits():
         s.bit(5)
 
 
+def test_splitting_text_is_cached_without_changing_identity():
+    for n in range(2, 7):
+        for mask in range(1, 1 << (n - 1)):
+            split = Splitting(n, mask)
+            before = (repr(split), hash(split))
+            side_b = [p for p in range(1, n) if mask >> (p - 1) & 1]
+            side_a = [p for p in range(1, n + 1) if p not in side_b]
+            text = "({})-({})".format(*("".join(f"A{p}" for p in side) for side in (side_a, side_b)))
+            assert str(split) == text
+            assert str(split) is str(split)
+            assert (repr(split), hash(split)) == before
+            assert split == Splitting(n, mask)
+            assert Splitting(n, mask) == split
+
+
 def test_from_side_complements_when_anchor_included():
     # naming the side holding the anchor lands on the same splitting
     assert Splitting.from_side(4, {1, 3}).mask == 5

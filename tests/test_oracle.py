@@ -9,6 +9,7 @@ import pytest
 from entact import FamilyState, Splitting, example_state, random_family_state
 from entact.oracle import (
     DENSE_PARTY_CAP,
+    _min_eigenvalue,
     build_density,
     coefficients_from_density,
     effective_pair_dense,
@@ -20,6 +21,7 @@ from entact.oracle import (
     permute_dense,
     ppt_agreement_report,
 )
+from reference import dense_projector_sum
 
 
 def test_basis_vectors_are_orthonormal():
@@ -73,6 +75,84 @@ def test_min_pt_eigenvalue_closed_form():
         assert eig == pytest.approx(expected, abs=1e-12)
 
 
+def _catalog_and_random_states():
+    yield example_state("I", 8, j=3)
+    yield example_state("II", 7, band=(30, 70))
+    yield example_state("III", 6, group={1, 3, 5})
+    yield example_state("IV", 8, j=2)
+    yield example_state("V", 8)
+    yield example_state("VI")
+    yield example_state("VII")
+    yield example_state("V", 5, lam0_minus=0.1)
+    for n in range(2, DENSE_PARTY_CAP + 1):
+        for seed in range(3):
+            yield random_family_state(n, seed)
+
+
+def _coupled_count(mat: np.ndarray) -> int:
+    off = mat != 0
+    np.fill_diagonal(off, False)
+    return int((off.any(axis=0) | off.any(axis=1)).sum())
+
+
+def test_build_density_equals_the_dense_projector_sum():
+    for state in _catalog_and_random_states():
+        mat = build_density(state)
+        ref = dense_projector_sum(state)
+        assert np.array_equal(mat, ref)
+        assert np.array_equal(np.signbit(mat), np.signbit(ref))
+
+
+def test_family_partial_transposes_keep_their_exact_zeros():
+    # a build that leaves rounding residue where a label's two projectors
+    # cancel couples every index, and the deflated solve would stop deflating
+    for state in _catalog_and_random_states():
+        mat = build_density(state)
+        assert _coupled_count(mat) <= 2
+        for mask in range(1, state.label_count + 1):
+            pt = partial_transpose(mat, Splitting(state.n, mask).side_b)
+            assert _coupled_count(pt) <= 2, (state.n, mask)
+
+
+def _sparse_hermitian(rng, dim, density, complex_):
+    mat = np.diag(rng.normal(size=dim))
+    hits = rng.random((dim, dim)) < density
+    vals = rng.normal(size=(dim, dim))
+    if complex_:
+        vals = vals + 1j * rng.normal(size=(dim, dim))
+    off = np.tril(np.where(hits, vals, 0), -1)
+    return mat + off + off.conj().T
+
+
+def test_deflated_min_eigenvalue_matches_the_full_solve():
+    rng = np.random.default_rng(1413)
+    cases = []
+    for dim in (1, 2, 3, 8, 17, 64):
+        for complex_ in (False, True):
+            for density in (0.0, 0.02, 0.1, 1.0):
+                cases.append(_sparse_hermitian(rng, dim, density, complex_))
+    tiny = np.diag(rng.normal(size=16))
+    tiny[3, 11] = tiny[11, 3] = 1e-300
+    cases.append(tiny)
+    for mat in cases:
+        full = np.linalg.eigvalsh(mat)
+        scale = max(1.0, float(np.abs(full).max()))
+        assert abs(_min_eigenvalue(mat) - full.min()) <= 1e-12 * scale
+    diag = np.diag(rng.normal(size=32))
+    assert _min_eigenvalue(diag) == diag.diagonal().min()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 1), (0, 15), (3, 5)])
+def test_min_pt_eigenvalue_rejects_non_finite_entries(value, row, col):
+    mat = build_density(example_state("VI"))
+    mat[row, col] = value
+    with pytest.raises(ValueError, match=rf"entry \({row}, {col}\) is not finite"):
+        min_pt_eigenvalue(mat, Splitting(4, 1))
+    with pytest.raises(ValueError, match=rf"entry \({row}, {col}\) is not finite"):
+        min_pt_eigenvalue(mat.astype(np.complex128), Splitting(4, 3))
+
+
 def test_agreement_on_random_states():
     for seed in range(12):
         state = random_family_state(4, seed=seed)
@@ -95,6 +175,9 @@ def test_party_cap_enforced():
     big = FamilyState(DENSE_PARTY_CAP + 1, 1.0, 0.0, (0.0,) * (1 << DENSE_PARTY_CAP))
     with pytest.raises(ValueError):
         build_density(big)
+    for lam in ((0.1,) * 6, (0.1,) * 8):
+        with pytest.raises(ValueError, match=f"length {len(lam)}, expected 7"):
+            build_density(FamilyState(4, 0.3, 0.0, lam))
 
 
 def test_coefficient_extraction_roundtrip():
