@@ -14,7 +14,8 @@ arithmetic, the constructors and the dense oracle agree entry for entry.
 Each input rule has one home here, and every layer calls it:
 `_check_size` for a party count, `_check_party` for a party number (a
 plain int, never True or 1.0), `_check_party_set`, `_check_order` for a
-relabeling and `_check_group_masks` for a partition into groups.
+relabeling, `_check_label` for a splitting label and `_check_group_masks`
+for a partition into groups.
 """
 from __future__ import annotations
 
@@ -63,6 +64,15 @@ def _check_party(p: object) -> int:
     return p
 
 
+def _check_label(label: object, n: int, what: str = "label") -> int:
+    """A splitting label must be a plain int in [1, 2^(n-1) - 1]; True would pass for label 1."""
+    if type(label) is not int:
+        raise ValueError(f"{what} {label!r} is not an integer")
+    if not 0 < label < 1 << (n - 1):
+        raise ValueError(f"{what} {label} outside [1, {(1 << (n - 1)) - 1}] for n={n}")
+    return label
+
+
 def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int]:
     # each element is checked before it is hashed, so no impostor dedupes away
     ps = frozenset(map(_check_party, parties))
@@ -90,13 +100,7 @@ class Splitting:
     mask: int
 
     def __post_init__(self) -> None:
-        _check_size(self.n, 2, "splitting")
-        if type(self.mask) is not int:
-            raise ValueError(f"splitting label {self.mask!r} is not an integer")
-        if not 1 <= self.mask <= (1 << (self.n - 1)) - 1:
-            raise ValueError(
-                f"splitting label {self.mask} outside [1, {(1 << (self.n - 1)) - 1}] for n={self.n}"
-            )
+        _check_label(self.mask, _check_size(self.n, 2, "splitting"), "splitting label")
 
     @classmethod
     def from_side(cls, n: int, parties: Iterable[int]) -> "Splitting":
@@ -174,9 +178,7 @@ class FamilyState:
         return (1 << (self.n - 1)) - 1
 
     def coefficient(self, label: int) -> float:
-        if not 1 <= label <= self.label_count:
-            raise ValueError(f"label {label} outside [1, {self.label_count}]")
-        return self.lam[label - 1]
+        return self.lam[_check_label(label, self.n) - 1]
 
     def indicator(self, label: int) -> int:
         """1 when the splitting with this label has a negative partial transpose.
@@ -363,6 +365,9 @@ class Specification:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # stored as a tuple, as the annotation says: a list would leave the
+        # specification unhashable and unequal to the same bits as a tuple
+        object.__setattr__(self, "bits", tuple(self.bits))
         want = _spec_labels(self.n).stop - 1
         if len(self.bits) != want:
             raise ValueError(f"need {want} bits for n={self.n}, got {len(self.bits)}")
@@ -393,12 +398,16 @@ class Specification:
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "Specification":
+        """The specification whose bit for label m is bit m - 1 of `value`."""
+        labels = _spec_labels(n).stop - 1
+        if type(value) is not int:
+            raise ValueError(f"specification value {value!r} is not an integer")
+        if value < 0 or value >> labels:
+            raise ValueError(f"specification value {value} outside [0, 2^{labels}) for n={n}")
         return cls.from_function(n, lambda m: value >> (m - 1) & 1)
 
     def value(self, label: int) -> int:
-        if not 1 <= label <= len(self.bits):
-            raise ValueError(f"label {label} outside [1, {len(self.bits)}]")
-        return self.bits[label - 1]
+        return self.bits[_check_label(label, self.n) - 1]
 
     def indicator_vector(self) -> tuple[int, ...]:
         """The bits, so that a specification stands in for a state in every verdict."""

@@ -2,10 +2,12 @@
 
 Everything in this module works on explicit 2**n by 2**n matrices and
 knows nothing about the coefficient-level shortcuts: states are
-assembled as sums of basis projectors, separability across a splitting
-is decided by an actual partial transpose and eigensolve, and the
-protocol operations are carried out index by index.  That independence
-is the point; the fast route is validated against this one.
+assembled as sums of basis projectors, and separability across a
+splitting is decided by an actual partial transpose and eigensolve.
+That independence is the point; the fast route is validated against
+this one.  The dense replay of the protocol moves, and the full-size
+projector sum the build is held to, live with the tests in
+`tests/reference.py`, which shares no code with this module.
 
 The eigensolve deflates on the matrix's own exact zeros: an index whose
 row and column are zero off the diagonal contributes its diagonal entry
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FamilyState, Splitting, _check_order, _check_party, _check_party_set, _check_size
+from .model import FamilyState, Splitting, _check_party_set
 
 DENSE_PARTY_CAP = 8
 
@@ -64,21 +66,6 @@ def _pair_index(n: int, label: int) -> int:
     return idx
 
 
-def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
-    """One real basis vector: the label's bit pattern superposed with its complement."""
-    _check_cap(_check_size(n, 2, "basis vector"))
-    if not 0 <= label <= (1 << (n - 1)) - 1:
-        raise ValueError(f"label {label} outside [0, {(1 << (n - 1)) - 1}]")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    dim = 1 << n
-    v = np.zeros(dim, dtype=np.float64)
-    idx = _pair_index(n, label)
-    v[idx] = 1.0 / math.sqrt(2.0)
-    v[dim - 1 - idx] = sign / math.sqrt(2.0)
-    return v
-
-
 def build_density(state: FamilyState) -> np.ndarray:
     """Assemble the state as an explicit sum of basis projectors, in float64.
 
@@ -97,7 +84,7 @@ def build_density(state: FamilyState) -> np.ndarray:
     idx = np.array([_pair_index(n, label) for label in range(1 << (n - 1))])
     support = np.stack([idx, dim - 1 - idx], axis=1)
     rows, cols = support[:, :, None], support[:, None, :]
-    # ghz_basis_vector's entries are +-1/sqrt(2), so each projector holds +-h on its support
+    # a basis vector's two entries are +-1/sqrt(2), so each projector holds +-h on its support
     amp = 1.0 / math.sqrt(2.0)
     h = amp * amp
     plus = np.array([[h, h], [h, h]])
@@ -181,7 +168,6 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
     """
     if type(tol) is bool or not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    _check_cap(state.n)
     rho = build_density(state)
     checks = []
     for mask in range(1, state.label_count + 1):
@@ -191,80 +177,3 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
         agree = (eig < -tol) if s else (eig >= -tol)
         checks.append(SplitCheck(split, s, eig, agree))
     return AgreementReport(state.n, tol, tuple(checks))
-
-
-def coefficients_from_density(mat: np.ndarray, tol: float = 1e-10) -> FamilyState:
-    """Read the family coefficients off a dense matrix, verifying the form.
-
-    The corner weights come from the top-left entry plus or minus the
-    corner, the pair weights from the diagonal.  The matrix is then
-    rebuilt from those numbers and must match entrywise within tol,
-    otherwise the input was not in the family and a ValueError explains
-    the largest deviation.
-    """
-    n = _party_count(mat)
-    dim = 1 << n
-    lam0_plus = float((mat[0, 0] + mat[0, dim - 1]).real)
-    lam0_minus = float((mat[0, 0] - mat[0, dim - 1]).real)
-    lam = tuple(
-        float(mat[_pair_index(n, label), _pair_index(n, label)].real)
-        for label in range(1, (1 << (n - 1)))
-    )
-    candidate = FamilyState(n, lam0_plus, lam0_minus, lam)
-    deviation = float(np.abs(mat - build_density(candidate)).max())
-    if deviation > tol:
-        raise ValueError(
-            f"matrix is not in the family's diagonal-plus-corner form "
-            f"(max deviation {deviation:.3e} > {tol:.1e})"
-        )
-    return candidate
-
-
-def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:
-    """Dense counterpart of measure_out_party: balanced-basis result, renormalized."""
-    n = _party_count(mat)
-    if not 1 <= _check_party(party) < n:
-        raise ValueError(f"party must lie in 1..{n - 1}; the anchor party stays")
-    tensor = mat.reshape([2] * (2 * n))
-    sub = 0.5 * tensor.sum(axis=(party - 1, n + party - 1))
-    dim = 1 << (n - 1)
-    rho = sub.reshape(dim, dim)
-    return rho / np.trace(rho).real
-
-
-def join_dense(mat: np.ndarray, parties) -> np.ndarray:
-    """Dense counterpart of join_povm: keep the indices where all members agree."""
-    n = _party_count(mat)
-    members = sorted(_check_party_set(n, parties, "parties"))
-    if len(members) < 2:
-        raise ValueError(f"need at least two parties within 1..{n}")
-    keep = np.array(
-        [len({z >> (n - p) & 1 for p in members}) == 1 for z in range(1 << n)], dtype=np.float64
-    )
-    out = mat * np.outer(keep, keep)
-    return out / np.trace(out).real
-
-
-def effective_pair_dense(mat: np.ndarray, split: Splitting) -> np.ndarray:
-    """Dense counterpart of project_to_effective_pair: a normalized 4x4 block.
-
-    Row order is (side A, side B) in {00, 01, 10, 11}; each side's qubit
-    is 0 when all its parties read 0 and 1 when they all read 1.
-    """
-    n = _party_count(mat)
-    if split.n != n:
-        raise ValueError(f"splitting is for n={split.n}, matrix has n={n}")
-    i_b = sum(1 << (n - i) for i in split.side_b)
-    i_a = sum(1 << (n - i) for i in split.side_a)
-    idxs = [0, i_b, i_a, i_b | i_a]
-    sub = mat[np.ix_(idxs, idxs)].copy()
-    return sub / np.trace(sub).real
-
-
-def permute_dense(mat: np.ndarray, order) -> np.ndarray:
-    """Dense counterpart of permute_parties: new party i is old party order[i-1]."""
-    n = _party_count(mat)
-    order = _check_order(n, order)
-    row_axes = [order[pos] - 1 for pos in range(n)]
-    axes = row_axes + [n + a for a in row_axes]
-    return mat.reshape([2] * (2 * n)).transpose(axes).reshape(mat.shape)

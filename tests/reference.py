@@ -5,17 +5,30 @@ opposite sides, and `straddles` says whether a group has members on both
 sides of a splitting.  The package decides the same questions from one
 table of group unions.  `dense_projector_sum` writes a state out as the
 plain sum of full-size basis projectors, which the oracle's support-only
-build must reproduce bit for bit.  These stay here, outside the package,
-so that no package code can share the reference it is compared against.
+build must reproduce bit for bit.  The dense replay of the protocol
+moves (`measure_plus_dense`, `join_dense`, `effective_pair_dense`,
+`permute_dense`, read back by `coefficients_from_density`) carries out
+each move index by index on explicit matrices.  These stay here, outside
+the package, so that no package code can share the reference it is
+compared against; nothing here comes from the oracle either, so the
+basis index below is written from its definition, not borrowed.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from entact.model import FamilyState, Splitting, _check_party_set, party_bitmask
-from entact.oracle import ghz_basis_vector
+from entact.model import (
+    FamilyState,
+    Splitting,
+    _check_order,
+    _check_party,
+    _check_party_set,
+    _check_size,
+    party_bitmask,
+)
 
 
 def _subset_masks(free: int) -> Iterator[int]:
@@ -64,6 +77,29 @@ def straddles(split: Splitting, group: Iterable[int]) -> bool:
     return bool(gmask & split.mask) and bool(gmask & comp)
 
 
+def _basis_index(n: int, label: int) -> int:
+    """Computational index of the label's even basis vector.
+
+    Party i < n is flipped when bit i - 1 of the label is set, and party 1
+    is the top bit of the index.
+    """
+    return sum(1 << (n - i) for i in range(1, n) if label >> (i - 1) & 1)
+
+
+def ghz_basis_vector(n: int, label: int, sign: int) -> np.ndarray:
+    """One real basis vector: the label's bit pattern superposed with its complement."""
+    _check_size(n, 2, "basis vector")
+    if not 0 <= label <= (1 << (n - 1)) - 1:
+        raise ValueError(f"label {label} outside [0, {(1 << (n - 1)) - 1}]")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    dim = 1 << n
+    v = np.zeros(dim, dtype=np.float64)
+    idx = _basis_index(n, label)
+    v[idx] = 1.0 / math.sqrt(2.0)
+    v[dim - 1 - idx] = sign / math.sqrt(2.0)
+    return v
+
 
 def dense_projector_sum(state: FamilyState) -> np.ndarray:
     """The state as a sum of full-size basis projectors, in float64."""
@@ -80,3 +116,91 @@ def dense_projector_sum(state: FamilyState) -> np.ndarray:
             v = ghz_basis_vector(state.n, label, sign)
             rho += weight * np.outer(v, v)
     return rho
+
+
+def _party_count(mat: np.ndarray) -> int:
+    """The party count n of a square 2^n by 2^n matrix, n >= 2."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    dim = mat.shape[0]
+    n = dim.bit_length() - 1
+    if dim != 1 << n or n < 2:
+        raise ValueError(f"dimension {dim} is not a power of two of at least 4")
+    return n
+
+
+def coefficients_from_density(mat: np.ndarray, tol: float = 1e-10) -> FamilyState:
+    """Read the family coefficients off a dense matrix, verifying the form.
+
+    The corner weights come from the top-left entry plus or minus the
+    corner, the pair weights from the diagonal.  The projector sum of
+    those numbers must then match the matrix entrywise within tol,
+    otherwise the input was not in the family and a ValueError explains
+    the largest deviation.
+    """
+    n = _party_count(mat)
+    dim = 1 << n
+    lam0_plus = float((mat[0, 0] + mat[0, dim - 1]).real)
+    lam0_minus = float((mat[0, 0] - mat[0, dim - 1]).real)
+    lam = tuple(
+        float(mat[_basis_index(n, label), _basis_index(n, label)].real)
+        for label in range(1, (1 << (n - 1)))
+    )
+    candidate = FamilyState(n, lam0_plus, lam0_minus, lam)
+    deviation = float(np.abs(mat - dense_projector_sum(candidate)).max())
+    if deviation > tol:
+        raise ValueError(
+            f"matrix is not in the family's diagonal-plus-corner form "
+            f"(max deviation {deviation:.3e} > {tol:.1e})"
+        )
+    return candidate
+
+
+def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:
+    """Dense counterpart of measure_out_party: balanced-basis result, renormalized."""
+    n = _party_count(mat)
+    if not 1 <= _check_party(party) < n:
+        raise ValueError(f"party must lie in 1..{n - 1}; the anchor party stays")
+    tensor = mat.reshape([2] * (2 * n))
+    sub = 0.5 * tensor.sum(axis=(party - 1, n + party - 1))
+    dim = 1 << (n - 1)
+    rho = sub.reshape(dim, dim)
+    return rho / np.trace(rho).real
+
+
+def join_dense(mat: np.ndarray, parties) -> np.ndarray:
+    """Dense counterpart of join_povm: keep the indices where all members agree."""
+    n = _party_count(mat)
+    members = sorted(_check_party_set(n, parties, "parties"))
+    if len(members) < 2:
+        raise ValueError(f"need at least two parties within 1..{n}")
+    keep = np.array(
+        [len({z >> (n - p) & 1 for p in members}) == 1 for z in range(1 << n)], dtype=np.float64
+    )
+    out = mat * np.outer(keep, keep)
+    return out / np.trace(out).real
+
+
+def effective_pair_dense(mat: np.ndarray, split: Splitting) -> np.ndarray:
+    """Dense counterpart of project_to_effective_pair: a normalized 4x4 block.
+
+    Row order is (side A, side B) in {00, 01, 10, 11}; each side's qubit
+    is 0 when all its parties read 0 and 1 when they all read 1.
+    """
+    n = _party_count(mat)
+    if split.n != n:
+        raise ValueError(f"splitting is for n={split.n}, matrix has n={n}")
+    i_b = sum(1 << (n - i) for i in split.side_b)
+    i_a = sum(1 << (n - i) for i in split.side_a)
+    idxs = [0, i_b, i_a, i_b | i_a]
+    sub = mat[np.ix_(idxs, idxs)].copy()
+    return sub / np.trace(sub).real
+
+
+def permute_dense(mat: np.ndarray, order) -> np.ndarray:
+    """Dense counterpart of permute_parties: new party i is old party order[i-1]."""
+    n = _party_count(mat)
+    order = _check_order(n, order)
+    row_axes = [order[pos] - 1 for pos in range(n)]
+    axes = row_axes + [n + a for a in row_axes]
+    return mat.reshape([2] * (2 * n)).transpose(axes).reshape(mat.shape)

@@ -43,17 +43,16 @@ from entact import (
     search_specifications,
     validate,
 )
-from entact.oracle import (
-    build_density,
+from entact.oracle import build_density, min_pt_eigenvalue, ppt_agreement_report
+from reference import (
     coefficients_from_density,
     effective_pair_dense,
     join_dense,
     measure_plus_dense,
-    min_pt_eigenvalue,
     permute_dense,
-    ppt_agreement_report,
+    separating_splittings,
+    straddles,
 )
-from reference import separating_splittings, straddles
 
 DENSE_TOL = 1e-10  # partial-transpose eigenvalue tolerance
 CROSS_TOL = 1e-10  # dense route versus coefficient route

@@ -13,6 +13,8 @@ from entact import (
     Specification,
     Splitting,
     example_pattern,
+    example_state,
+    from_specification,
     iter_set_partitions,
     parties_from_bitmask,
     party_bitmask,
@@ -20,8 +22,7 @@ from entact import (
     search_specifications,
     validate,
 )
-from entact.oracle import ghz_basis_vector
-from reference import separating_splittings, straddles
+from reference import ghz_basis_vector, separating_splittings, straddles
 
 
 def test_splitting_label_bounds():
@@ -334,3 +335,33 @@ def test_specification_validation():
     assert spec.bits == (1, 0, 1)
     assert spec.value(2) == 0
     assert Specification.constant(4, 1).bits == (1,) * 7
+
+
+def test_specification_stores_its_bits_as_a_tuple():
+    spec = Specification(3, [1, 0, 1])
+    assert type(spec.bits) is tuple
+    assert spec == Specification(3, (1, 0, 1))
+    assert hash(spec) == hash(Specification(3, (1, 0, 1)))
+    assert from_specification(spec).indicator_vector() == (1, 0, 1)
+
+
+def test_every_label_argument_applies_one_label_rule():
+    state, spec = example_state("VI"), example_pattern("VI")
+    for call in (state.coefficient, state.indicator, spec.value):
+        for label in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=rf"^label {re.escape(repr(label))} is not an integer$"):
+                call(label)
+        for label in (0, 8, -1):
+            with pytest.raises(ValueError, match=rf"^label {label} outside \[1, 7\] for n=4$"):
+                call(label)
+    with pytest.raises(ValueError, match=r"^splitting label 8 outside \[1, 7\] for n=4$"):
+        Splitting(4, 8)
+    for value in (True, 1.0, "7"):
+        message = rf"^specification value {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            Specification.from_int(3, value)
+    for value in (-1, 8, 100):
+        with pytest.raises(ValueError, match=rf"^specification value {value} outside \[0, 2\^3\) for n=3$"):
+            Specification.from_int(3, value)
+    assert Specification.from_int(3, 0).bits == (0, 0, 0)
+    assert Specification.from_int(3, 7).bits == (1, 1, 1)

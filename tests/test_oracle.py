@@ -11,17 +11,19 @@ from entact.oracle import (
     DENSE_PARTY_CAP,
     _min_eigenvalue,
     build_density,
+    min_pt_eigenvalue,
+    partial_transpose,
+    ppt_agreement_report,
+)
+from reference import (
     coefficients_from_density,
+    dense_projector_sum,
     effective_pair_dense,
     ghz_basis_vector,
     join_dense,
     measure_plus_dense,
-    min_pt_eigenvalue,
-    partial_transpose,
     permute_dense,
-    ppt_agreement_report,
 )
-from reference import dense_projector_sum
 
 
 def test_basis_vectors_are_orthonormal():

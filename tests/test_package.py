@@ -1,4 +1,4 @@
-"""The package's public surface: exported names, the README tour, the oracle's imports."""
+"""The package's public surface: exported names, the README tour, the oracle's and the reference's imports."""
 from __future__ import annotations
 
 import ast
@@ -74,3 +74,9 @@ def test_package_modules_use_every_import_and_leave_the_test_reference_alone():
         problems += [f"{path.name}: imports {module}"
                      for module in modules if "reference" in module.lstrip(".").split(".")]
     assert problems == []
+
+
+def test_reference_uses_no_oracle_code():
+    # the reference checks the oracle, so it writes its own basis index and builds
+    _, modules = _imports(ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8")))
+    assert [m for m in modules if m.split(".")[:2] == ["entact", "oracle"]] == []
