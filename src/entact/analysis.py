@@ -199,43 +199,43 @@ def grouping_report(
 def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
     """Group bitmasks of every partition of {1..n}, in restricted-growth order.
 
-    The groups of a partition come in order of their lowest member, the
-    canonical order of a Grouping.  With `blocks` set, only partitions
-    with exactly that many blocks.
+    Built a party at a time, recursing once per party: the next party
+    joins each open group in turn, then opens a new one if the block cap
+    allows.  Groups come in order of their lowest member, the canonical
+    order of a Grouping.  With `blocks` set, only partitions with
+    exactly that many blocks.
     """
     _check_size(n, 1, "partition")
     if blocks is not None and blocks < 1:
         raise ValueError("blocks must be at least 1")
     if blocks is not None and blocks > n:
         return
-    # a[i] is the block of party i + 1 and top[i] the largest of a[:i + 1];
-    # no digit rises past blocks - 1, since that partition has too many blocks
     cap = n if blocks is None else blocks
-    bits = [1 << i for i in range(n)]
-    a = [0] * n
-    top = [0] * n
-    while True:
-        count = top[-1] + 1
-        if blocks is None or count == blocks:
-            masks = [0] * count
-            for block, bit in zip(a, bits):
-                masks[block] |= bit
-            yield tuple(masks)
-        i = n - 1
-        while i > 0 and (a[i] > top[i - 1] or a[i] + 1 >= cap):
-            i -= 1
-        if i == 0:
+    masks: list[int] = []
+
+    def grow(p: int) -> Iterator[tuple[int, ...]]:
+        if p == n:
+            if blocks is None or len(masks) == blocks:
+                yield tuple(masks)
             return
-        a[i] += 1
-        t = max(top[i - 1], a[i])
-        top[i:] = [t] * (n - i)
-        a[i + 1:] = [0] * (n - i - 1)
+        bit = 1 << p
+        for i in range(len(masks)):
+            masks[i] |= bit
+            yield from grow(p + 1)
+            masks[i] ^= bit
+        if len(masks) < cap:
+            masks.append(bit)
+            yield from grow(p + 1)
+            masks.pop()
+
+    yield from grow(0)
 
 
 def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of {1..n} in restricted-growth order, first-member blocks first.
 
-    With `blocks` set, only partitions with exactly that many blocks.
+    The party tuples of `_partition_masks`, in its order.  With `blocks`
+    set, only partitions with exactly that many blocks.
     """
     for masks in _partition_masks(n, blocks):
         yield tuple(tuple(p for p in range(1, n + 1) if m >> (p - 1) & 1) for m in masks)

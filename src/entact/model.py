@@ -145,13 +145,20 @@ class FamilyState:
     ``lam0_plus`` and ``lam0_minus`` weight the two label-0 basis vectors,
     ``lam[i]`` weights *both* vectors of the pair with label ``i + 1``, so
     a normalized state satisfies  lam0_plus + lam0_minus + 2*sum(lam) = 1.
-    Instances are immutable; every operation returns a new state.
+    Instances are immutable; every operation returns a new state.  A
+    state is built with n >= 2 and 2^(n-1) - 1 coefficients, or not at all.
     """
 
     n: int
     lam0_plus: float
     lam0_minus: float
     lam: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        want = (1 << (_check_size(self.n, 2, "state") - 1)) - 1
+        object.__setattr__(self, "lam", tuple(self.lam))
+        if len(self.lam) != want:
+            raise ValueError(f"coefficient array has length {len(self.lam)}, expected {want}")
 
     @classmethod
     def from_unnormalized(
@@ -202,16 +209,8 @@ class FamilyState:
 
 
 def validate(state: FamilyState) -> list[str]:
-    """Report invariant violations instead of raising; an empty list means valid."""
-    try:
-        _check_size(state.n, 2, "state")
-    except ValueError as exc:
-        return [str(exc)]
+    """Report invalid values instead of raising; an empty list means valid."""
     problems: list[str] = []
-    want = (1 << (state.n - 1)) - 1
-    if len(state.lam) != want:
-        problems.append(f"coefficient array has length {len(state.lam)}, expected {want}")
-        return problems
     corners = (("lam0_plus", state.lam0_plus), ("lam0_minus", state.lam0_minus))
     for name, value in corners:
         if not math.isfinite(value):
@@ -340,6 +339,7 @@ class Grouping:
         return cls(n, tuple(groups))
 
     def group_of(self, party: int) -> frozenset[int]:
+        _check_party(party)
         for g in self.groups:
             if party in g:
                 return g
@@ -394,7 +394,7 @@ class Specification:
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "Specification":
-        return cls(n, tuple(int(bit) for _ in _spec_labels(n)))
+        return cls(n, tuple(bit for _ in _spec_labels(n)))
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "Specification":

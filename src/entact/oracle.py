@@ -57,15 +57,6 @@ def _party_count(mat: np.ndarray) -> int:
     return n
 
 
-def _pair_index(n: int, label: int) -> int:
-    """Computational index of the label's even basis vector; party 1 is the top bit."""
-    idx = 0
-    for i in range(1, n):
-        if label >> (i - 1) & 1:
-            idx |= 1 << (n - i)
-    return idx
-
-
 def build_density(state: FamilyState) -> np.ndarray:
     """Assemble the state as an explicit sum of basis projectors, in float64.
 
@@ -76,12 +67,13 @@ def build_density(state: FamilyState) -> np.ndarray:
     exact zeros, which `min_pt_eigenvalue` relies on.
     """
     _check_cap(state.n)
-    if len(state.lam) != state.label_count:
-        raise ValueError(
-            f"coefficient array has length {len(state.lam)}, expected {state.label_count}"
-        )
     n, dim = state.n, 1 << state.n
-    idx = np.array([_pair_index(n, label) for label in range(1 << (n - 1))])
+    # idx[label] is the label's even basis index, built a party at a time:
+    # party i < n sets bit n - i (party 1 is the top bit)
+    idx = [0]
+    for i in range(1, n):
+        idx += [x | 1 << (n - i) for x in idx]
+    idx = np.array(idx)
     support = np.stack([idx, dim - 1 - idx], axis=1)
     rows, cols = support[:, :, None], support[:, None, :]
     # a basis vector's two entries are +-1/sqrt(2), so each projector holds +-h on its support

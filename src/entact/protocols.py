@@ -2,8 +2,9 @@
 
 Every operation here maps family states to family states, down to the
 final two-party outcome, while tracking exactly how the coefficients and
-the corner gap move.  The dense oracle mirrors each operation on full
-density matrices so the two routes can be compared in tests.
+the corner gap move.  The dense replay of each operation on full
+density matrices lives with the tests, in `tests/reference.py`, so the
+two routes can be compared there.
 """
 from __future__ import annotations
 
@@ -152,17 +153,13 @@ def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     """
     n = state.n
     order = _check_order(n, order)
-    full = (1 << n) - 1
-    lam = []
-    for new_label in range(1, 1 << (n - 1)):
-        pattern = 0
-        for pos in range(n - 1):
-            if new_label >> pos & 1:
-                pattern |= 1 << (order[pos] - 1)
-        if pattern >> (n - 1) & 1:
-            pattern ^= full
-        lam.append(state.lam[pattern - 1])
-    return FamilyState(n, state.lam0_plus, state.lam0_minus, tuple(lam))
+    full, anchor = (1 << n) - 1, 1 << (n - 1)
+    # patterns[label] is the old pattern of a new label, built a party at a time
+    patterns = [0]
+    for q in order[:-1]:
+        patterns += [p | 1 << (q - 1) for p in patterns]
+    lam = tuple(state.lam[(p ^ full if p & anchor else p) - 1] for p in patterns[1:])
+    return FamilyState(n, state.lam0_plus, state.lam0_minus, lam)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,19 @@ def test_non_finite_state_file_is_rejected(tmp_path, capsys):
     assert "lam0_plus is not finite" in err
 
 
+def test_state_file_of_the_wrong_shape_is_rejected(tmp_path, capsys):
+    good = state_document(example_state("VI"))
+    path = tmp_path / "state.json"
+    for change, message in (
+        ({"lam": good["lam"][:-1]}, "coefficient array has length 6, expected 7"),
+        ({"lam": good["lam"] + [0.0]}, "coefficient array has length 8, expected 7"),
+        ({"n": 1, "lam": []}, "a state needs an integer n of at least 2, got n=1"),
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+        assert rc == 2 and out == "" and message in err, (change, err)
+
+
 def test_construct_example_to_file(tmp_path, capsys):
     path = tmp_path / "vi.json"
     rc, out, err = run(capsys, "construct", "--example", "VI", "-o", str(path))

@@ -70,11 +70,13 @@ def test_every_layer_applies_one_party_count_rule():
             Grouping.all_separate(n)
         with pytest.raises(ValueError, match=message):
             Grouping.with_joined(n, [1, 2])
-    # validate reports a bad party count and never raises
+    # a state refuses a bad party count when it is built
     for n in (1, 4.0, True):
-        message = f"a state needs an integer n of at least 2, got n={n!r}"
-        assert validate(FamilyState(n, 0.5, 0.5, ())) == [message]
-        assert validate(FamilyState(n, 0.5, 0.0, (0.0,) * 7)) == [message]
+        message = rf"^a state needs an integer n of at least 2, got n={re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            FamilyState(n, 0.5, 0.5, ())
+        with pytest.raises(ValueError, match=message):
+            FamilyState(n, 0.5, 0.0, (0.0,) * 7)
 
 
 def test_splitting_sides_and_bits():
@@ -164,12 +166,21 @@ def test_from_unnormalized_normalizes():
         FamilyState.from_unnormalized(3, 0.0, 0.0, (0.0, 0.0, 0.0))
 
 
+def test_state_shape_is_checked_when_built():
+    # a wrong coefficient count would reach the verdicts and answer silently
+    for lam in ((0.25, 0.0), (0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0.3)):
+        with pytest.raises(ValueError, match=rf"^coefficient array has length {len(lam)}, expected 3$"):
+            FamilyState(3, 0.5, 0.0, lam)
+    state = FamilyState(3, 0.5, 0.0, [0.0, 0.25, 0.0])
+    assert type(state.lam) is tuple
+    assert state == FamilyState(3, 0.5, 0.0, (0.0, 0.25, 0.0))
+    assert hash(state) == hash(FamilyState(3, 0.5, 0.0, (0.0, 0.25, 0.0)))
+
+
 def test_validate_reports_problems():
-    assert validate(FamilyState(3, 0.5, 0.0, (0.25, 0.0)))  # wrong length
     assert any("negative" in p for p in validate(FamilyState(3, 0.6, 0.0, (-0.1, 0.25, 0.05))))
     assert any("lam0_plus < lam0_minus" in p for p in validate(FamilyState(2, 0.2, 0.4, (0.2,))))
     assert any("total weight" in p for p in validate(FamilyState(2, 0.9, 0.0, (0.3,))))
-    assert validate(FamilyState(1, 1.0, 0.0, ()))
     nan = float("nan")
     assert any("lam0_minus is not finite" in p for p in validate(FamilyState(2, 0.5, nan, (0.25,))))
     assert any("labels [2]" in p for p in validate(FamilyState(3, 0.5, 0.0, (0.25, nan, 0.0))))
@@ -254,6 +265,12 @@ def test_grouping_rejects_non_integer_party():
         Grouping(3, ({1.0}, {2}, {3}))
     with pytest.raises(ValueError, match="party '1' is not an integer"):
         Grouping(2, ({"1"}, {2}))
+    # True and 1.0 equal 1, so only the party rule keeps them from finding group {1}
+    for party in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=rf"^party {re.escape(repr(party))} is not an integer$"):
+            Grouping.all_separate(3).group_of(party)
+    with pytest.raises(ValueError, match="^party 4 not covered$"):
+        Grouping.all_separate(3).group_of(4)
 
 
 def test_impostor_next_to_its_integer_is_rejected_not_deduplicated():
@@ -335,6 +352,11 @@ def test_specification_validation():
     assert spec.bits == (1, 0, 1)
     assert spec.value(2) == 0
     assert Specification.constant(4, 1).bits == (1,) * 7
+    assert Specification.constant(3, 0).bits == (0, 0, 0)
+    # the 0/1 rule sees the bit as given: 0.7 is not 0 and "1" or True is not 1
+    for bit in (0.7, "1", True, 2):
+        with pytest.raises(ValueError, match="^specification bits must be the integers 0 or 1$"):
+            Specification.constant(3, bit)
 
 
 def test_specification_stores_its_bits_as_a_tuple():

@@ -174,12 +174,13 @@ def test_agreement_at_the_boundary():
 
 
 def test_party_cap_enforced():
-    big = FamilyState(DENSE_PARTY_CAP + 1, 1.0, 0.0, (0.0,) * (1 << DENSE_PARTY_CAP))
-    with pytest.raises(ValueError):
+    big = FamilyState(DENSE_PARTY_CAP + 1, 1.0, 0.0, (0.0,) * ((1 << DENSE_PARTY_CAP) - 1))
+    with pytest.raises(ValueError, match=f"dense route caps at {DENSE_PARTY_CAP} parties"):
         build_density(big)
+    # a wrong coefficient count never reaches the build: the state refuses it
     for lam in ((0.1,) * 6, (0.1,) * 8):
         with pytest.raises(ValueError, match=f"length {len(lam)}, expected 7"):
-            build_density(FamilyState(4, 0.3, 0.0, lam))
+            FamilyState(4, 0.3, 0.0, lam)
 
 
 def test_coefficient_extraction_roundtrip():

@@ -1,8 +1,11 @@
-"""The package's public surface: exported names, the README tour, the oracle's and the reference's imports."""
+"""The package's public surface: exported names, the README tour, the imports of the package, the oracle and the reference."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import entact
@@ -80,3 +83,14 @@ def test_reference_uses_no_oracle_code():
     # the reference checks the oracle, so it writes its own basis index and builds
     _, modules = _imports(ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8")))
     assert [m for m in modules if m.split(".")[:2] == ["entact", "oracle"]] == []
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # only the dense oracle needs numpy; every other command starts without it
+    code = "import sys, entact, entact.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"

@@ -25,6 +25,7 @@ from entact import (
     required_amplification,
     validate,
 )
+from reference import coefficients_from_density, dense_projector_sum, permute_dense
 
 
 def test_amplify_identity_and_ratio_law():
@@ -170,6 +171,21 @@ def test_project_to_effective_pair():
         project_to_effective_pair(state, Splitting(5, 3))
 
 
+def _assert_dense_relabel(state, order):
+    # the dense route moves the parties' tensor axes; no label arithmetic is shared
+    want = coefficients_from_density(permute_dense(dense_projector_sum(state), order))
+    got = permute_parties(state, order)
+    assert got.lam0_plus == pytest.approx(want.lam0_plus, abs=1e-12)
+    assert got.lam0_minus == pytest.approx(want.lam0_minus, abs=1e-12)
+    assert got.lam == pytest.approx(want.lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_permute_parties_matches_dense_relabel_on_a_cycle(n):
+    # a cycle is not its own inverse, so this fixes the direction of the relabel
+    _assert_dense_relabel(random_family_state(n, seed=n), (*range(2, n + 1), 1))
+
+
 def test_permute_parties_swap():
     state = random_family_state(3, seed=17)
     out = permute_parties(state, (3, 2, 1))
@@ -185,6 +201,7 @@ def test_permute_parties_swap():
 def test_permute_parties_roundtrip(n, seed, data):
     state = random_family_state(n, seed=seed)
     order = tuple(data.draw(st.permutations(range(1, n + 1))))
+    _assert_dense_relabel(state, order)
     out = permute_parties(state, order)
     assert validate(out) == []
     inverse = [0] * n
