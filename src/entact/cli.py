@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: construct (make states), analyze (grouping verdicts),
-protocol (run the distillation pipeline), verify (dense cross-check),
-search (hunt for indicator specifications).  Output is JSON on stdout
-unless --pretty asks for tables.  Exit codes: 0 for success, 1 when an
-asserted verdict is false or the dense route disagrees, 2 for usage and
-validation problems.
+protocol (run the distillation pipeline), verify (partial-transpose
+cross-check), search (hunt for indicator specifications).  Output is
+JSON on stdout unless --pretty asks for tables.  Exit codes: 0 for
+success, 1 when an asserted verdict is false or the partial-transpose
+route disagrees, 2 for usage and validation problems.
 
 State files are JSON documents:
 
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entact",
         description="Family states over n parties: construction, grouping verdicts, "
-        "distillation protocols, dense verification, specification search.",
+        "distillation protocols, partial-transpose verification, specification search.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pro.add_argument("--pretty", action="store_true", help="step table instead of JSON")
     pro.set_defaults(func=_cmd_protocol)
 
-    ver = sub.add_parser("verify", help="cross-check the indicators against dense matrices")
+    ver = sub.add_parser("verify", help="cross-check the indicators against partial transposes (up to 12 parties)")
     ver.add_argument("--state", required=True, metavar="FILE")
     ver.add_argument("--tol", type=float, default=1e-10,
                      help="eigenvalue tolerance (default 1e-10)")

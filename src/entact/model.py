@@ -20,6 +20,7 @@ for a partition into groups.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -208,14 +209,31 @@ class FamilyState:
         return self.lam0_plus + self.lam0_minus + 2.0 * sum(self.lam)
 
 
+def _is_real(value: object) -> bool:
+    """A weight must be a real number; True would pass for 1.0."""
+    return type(value) is not bool and isinstance(value, numbers.Real)
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def validate(state: FamilyState) -> list[str]:
     """Report invalid values instead of raising; an empty list means valid."""
     problems: list[str] = []
     corners = (("lam0_plus", state.lam0_plus), ("lam0_minus", state.lam0_minus))
     for name, value in corners:
-        if not math.isfinite(value):
+        if not _is_real(value):
+            problems.append(f"{name} is not a real number ({value!r})")
+        elif not _is_finite(value):
             problems.append(f"{name} is not finite ({value})")
-    nonfinite = [i + 1 for i, v in enumerate(state.lam) if not math.isfinite(v)]
+    nonreal = [i + 1 for i, v in enumerate(state.lam) if not _is_real(v)]
+    if nonreal:
+        problems.append(f"non-real coefficients at labels {nonreal[:8]}")
+    nonfinite = [i + 1 for i, v in enumerate(state.lam) if _is_real(v) and not _is_finite(v)]
     if nonfinite:
         problems.append(f"non-finite coefficients at labels {nonfinite[:8]}")
     if problems:

@@ -1,30 +1,46 @@
-"""Dense density-matrix brute force for small party counts.
+"""Brute-force partial-transpose checks on the entries of the density matrix.
 
-Everything in this module works on explicit 2**n by 2**n matrices and
-knows nothing about the coefficient-level shortcuts: states are
-assembled as sums of basis projectors, and separability across a
+Everything in this module works on the explicit matrix entries of a
+state and knows nothing about the coefficient-level shortcuts: states
+are assembled as sums of basis projectors, and separability across a
 splitting is decided by an actual partial transpose and eigensolve.
 That independence is the point; the fast route is validated against
-this one.  The dense replay of the protocol moves, and the full-size
-projector sum the build is held to, live with the tests in
-`tests/reference.py`, which shares no code with this module.
+this one.  The reshape definition of the partial transpose, the dense
+replay of the protocol moves and the full-size projector sum the build
+is held to live with the tests in `tests/reference.py`, which shares no
+code with this module.
 
-The eigensolve deflates on the matrix's own exact zeros: an index whose
-row and column are zero off the diagonal contributes its diagonal entry
-as an eigenvalue, and the remaining, coupled indices go through one full
-`eigvalsh`.  A family state's partial transpose couples two indices; a
+Entries.  `_projector_entries` lists the (row, column, value) entries of
+the projector sum, each projector added on its two-index support; a
+family matrix has about 2^(n+1) of them, not 4^n.  `build_density`
+scatters them into a 2^n by 2^n matrix.
+
+Partial transpose as an index map.  Party i is basis bit n - i (party 1
+is the top bit).  With B the bits of the transposed parties, a partial
+transpose leaves the diagonal fixed and moves each entry (i, j) to
+((i & ~B) | (j & B), (j & ~B) | (i & B)); the map is its own inverse.
+`ppt_agreement_report` maps only the nonzero off-diagonal entries for
+each splitting, and `partial_transpose` applies the same map to every
+entry of a dense matrix.
+
+Deflated solve.  An index whose row and column hold no nonzero entry off
+the diagonal spans an invariant subspace, so its diagonal entry is an
+eigenvalue; the remaining, coupled indices go through one `eigvalsh` of
+their block.  A family state's partial transpose couples two indices; a
 dense matrix couples all of them and gets one full solve.  No label,
 indicator or family formula enters that step.
 
+Two caps.  The dense views (`build_density`, `partial_transpose`,
+`min_pt_eigenvalue`) stop at DENSE_PARTY_CAP parties.  The agreement
+report never forms the matrix and stops at REPORT_PARTY_CAP parties.
+
 The family's states are diagonal in a basis of real vectors with real
 weights, so their matrices, and every partial transpose of them, are
-real symmetric: `build_density` returns float64.  Every other function
-keeps the dtype of the matrix it is given, and `np.linalg.eigvalsh`
-picks the real or the complex solver from it, so a complex Hermitian
-input (the same state after a local phase, say) is still accepted and
-goes through the same code.  Only the scalar type differs; the route
-stays an explicit sum of projectors, a partial transpose and a deflated
-eigensolve.  A non-finite entry is refused, never solved.
+real symmetric: the entries are float64.  The dense views keep the dtype
+of the matrix they are given, and `np.linalg.eigvalsh` picks the real or
+the complex solver from it, so a complex Hermitian input (the same state
+after a local phase, say) is still accepted and goes through the same
+index map and solve.  A non-finite entry is refused, never solved.
 """
 from __future__ import annotations
 
@@ -36,14 +52,12 @@ import numpy as np
 from .model import FamilyState, Splitting, _check_party_set
 
 DENSE_PARTY_CAP = 8
+REPORT_PARTY_CAP = 12
 
 
-def _check_cap(n: int) -> None:
-    if n > DENSE_PARTY_CAP:
-        raise ValueError(
-            f"dense route caps at {DENSE_PARTY_CAP} parties "
-            f"(dimension {1 << DENSE_PARTY_CAP}); requested n={n}"
-        )
+def _check_cap(n: int, cap: int = DENSE_PARTY_CAP, route: str = "dense route") -> None:
+    if n > cap:
+        raise ValueError(f"{route} caps at {cap} parties (dimension {1 << cap}); requested n={n}")
 
 
 def _party_count(mat: np.ndarray) -> int:
@@ -57,25 +71,40 @@ def _party_count(mat: np.ndarray) -> int:
     return n
 
 
-def build_density(state: FamilyState) -> np.ndarray:
-    """Assemble the state as an explicit sum of basis projectors, in float64.
+def _label_bits(n: int) -> list[int]:
+    """Each label's side-B basis bits, which are also its even basis index.
 
-    Each projector is added on its two-index support only, in the order
-    of the dense sum (every + projector, then every - one; the labels'
-    supports are disjoint), so every entry is bitwise what that sum
-    gives: the cancellations between a label's two projectors leave
-    exact zeros, which `min_pt_eigenvalue` relies on.
+    Built a party at a time: party i < n sets bit n - i.
     """
-    _check_cap(state.n)
-    n, dim = state.n, 1 << state.n
-    # idx[label] is the label's even basis index, built a party at a time:
-    # party i < n sets bit n - i (party 1 is the top bit)
     idx = [0]
     for i in range(1, n):
         idx += [x | 1 << (n - i) for x in idx]
-    idx = np.array(idx)
-    support = np.stack([idx, dim - 1 - idx], axis=1)
-    rows, cols = support[:, :, None], support[:, None, :]
+    return idx
+
+
+def _side_bits(n: int, parties) -> int:
+    """The basis bits of a party set."""
+    return sum(1 << (n - p) for p in _check_party_set(n, parties, "parties"))
+
+
+def _transpose_entries(rows: np.ndarray, cols: np.ndarray, bits: int):
+    """Where transposing the basis bits `bits` moves the entries at (rows, cols)."""
+    keep = ~bits
+    return (rows & keep) | (cols & bits), (cols & keep) | (rows & bits)
+
+
+def _projector_entries(state: FamilyState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, values) entries of the state's sum of basis projectors.
+
+    Each projector is added on its two-index support only, in the order
+    of the dense sum (every + projector, then every - one; the labels'
+    supports are disjoint), so every value is bitwise what that sum
+    gives: the cancellations between a label's two projectors leave
+    exact zeros, which the deflated solve relies on.
+    """
+    idx = np.array(_label_bits(state.n))
+    support = np.stack([idx, (1 << state.n) - 1 - idx], axis=1)
+    rows, cols = np.broadcast_arrays(support[:, :, None], support[:, None, :])
     # a basis vector's two entries are +-1/sqrt(2), so each projector holds +-h on its support
     amp = 1.0 / math.sqrt(2.0)
     h = amp * amp
@@ -83,20 +112,59 @@ def build_density(state: FamilyState) -> np.ndarray:
     minus = np.array([[h, -h], [-h, h]])
     w_plus = np.array((state.lam0_plus, *state.lam), dtype=np.float64)[:, None, None]
     w_minus = np.array((state.lam0_minus, *state.lam), dtype=np.float64)[:, None, None]
+    # an infinite weight cancels against itself to NaN, which the callers' checks name
+    with np.errstate(invalid="ignore"):
+        values = (0.0 + w_plus * plus) + w_minus * minus
+    return rows.ravel(), cols.ravel(), values.ravel()
+
+
+def _check_finite(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Refuse a non-finite entry, naming the first one in row-major order."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        rows, cols, values = rows[bad], cols[bad], values[bad]
+        k = np.lexsort((cols, rows))[0]
+        raise ValueError(f"matrix entry ({rows[k]}, {cols[k]}) is not finite: {values[k]}")
+
+
+def _deflated_min(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian matrix with this diagonal and these entries.
+
+    (rows, cols, values) list the nonzero off-diagonal entries, each
+    position once.  An index in none of them spans an invariant
+    subspace, so its diagonal entry is an eigenvalue; every other index
+    goes into one full `eigvalsh` of the coupled block.
+    """
+    coupled = np.zeros(diag.size, dtype=bool)
+    coupled[rows] = True
+    coupled[cols] = True
+    low = np.inf
+    if not coupled.all():
+        low = float(diag[~coupled].real.min())
+    keep = np.flatnonzero(coupled)
+    if keep.size:
+        block = np.diag(diag[keep])
+        block[np.searchsorted(keep, rows), np.searchsorted(keep, cols)] = values
+        low = min(low, float(np.linalg.eigvalsh(block).min()))
+    return low
+
+
+def build_density(state: FamilyState) -> np.ndarray:
+    """Assemble the state as an explicit sum of basis projectors, in float64."""
+    _check_cap(state.n)
+    dim = 1 << state.n
+    rows, cols, values = _projector_entries(state)
     rho = np.zeros((dim, dim), dtype=np.float64)
-    rho[rows, cols] = (rho[rows, cols] + w_plus * plus) + w_minus * minus
+    rho[rows, cols] = values
     return rho
 
 
 def partial_transpose(mat: np.ndarray, parties) -> np.ndarray:
     """Transpose the given parties' indices only."""
     n = _party_count(mat)
-    ps = _check_party_set(n, parties, "parties")
-    tensor = mat.reshape([2] * (2 * n))
-    axes = list(range(2 * n))
-    for p in ps:
-        axes[p - 1], axes[n + p - 1] = axes[n + p - 1], axes[p - 1]
-    return tensor.transpose(axes).reshape(mat.shape)
+    rows, cols = np.indices(mat.shape)
+    # the map is its own inverse, so reading every entry through it moves them all
+    return mat[_transpose_entries(rows, cols, _side_bits(n, parties))]
 
 
 def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
@@ -104,30 +172,12 @@ def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
     n = _party_count(mat)
     if split.n != n:
         raise ValueError(f"splitting is for n={split.n}, matrix has n={n}")
-    if not np.isfinite(mat).all():
-        row, col = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"matrix entry ({row}, {col}) is not finite: {mat[row, col]}")
-    return _min_eigenvalue(partial_transpose(mat, split.side_b))
-
-
-def _min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, deflated on its exact zeros.
-
-    An index whose row and column hold no nonzero entry off the diagonal
-    spans an invariant subspace, so its diagonal entry is an eigenvalue;
-    every other index goes into one full `eigvalsh` of the coupled block.
-    A dense matrix has every index coupled and gets one full solve.
-    """
-    off = mat != 0
-    np.fill_diagonal(off, False)
-    coupled = off.any(axis=0) | off.any(axis=1)
-    low = np.inf
-    if not coupled.all():
-        low = float(mat.diagonal()[~coupled].real.min())
-    if coupled.any():
-        keep = np.flatnonzero(coupled)
-        low = min(low, float(np.linalg.eigvalsh(mat[keep[:, None], keep]).min()))
-    return low
+    rows, cols = np.nonzero(mat)
+    values = mat[rows, cols]
+    _check_finite(rows, cols, values)
+    off = rows != cols
+    rows, cols = _transpose_entries(rows[off], cols[off], _side_bits(n, split.side_b))
+    return _deflated_min(mat.diagonal(), rows, cols, values[off])
 
 
 @dataclass(frozen=True)
@@ -152,19 +202,29 @@ class AgreementReport:
 
 
 def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementReport:
-    """Compare the indicator of every splitting against the dense route.
+    """Compare the indicator of every splitting against the partial-transpose route.
 
     Indicator 1 must show a partial-transpose eigenvalue below -tol;
     indicator 0 must not.  Exact boundary states land on the separable
     side in both routes.  A negative, non-finite or bool tol is rejected.
+    The matrix is never formed: the diagonal stays put, and only the
+    nonzero off-diagonal entries are mapped for each splitting.
     """
     if type(tol) is bool or not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    rho = build_density(state)
+    _check_cap(state.n, REPORT_PARTY_CAP, "agreement report")
+    rows, cols, values = _projector_entries(state)
+    _check_finite(rows, cols, values)
+    on = rows == cols
+    diag = np.zeros(1 << state.n, dtype=np.float64)
+    diag[rows[on]] = values[on]
+    off = ~on & (values != 0)
+    rows, cols, values = rows[off], cols[off], values[off]
+    bits = _label_bits(state.n)
     checks = []
     for mask in range(1, state.label_count + 1):
         split = Splitting(state.n, mask)
-        eig = min_pt_eigenvalue(rho, split)
+        eig = _deflated_min(diag, *_transpose_entries(rows, cols, bits[mask]), values)
         s = state.indicator(mask)
         agree = (eig < -tol) if s else (eig >= -tol)
         checks.append(SplitCheck(split, s, eig, agree))

@@ -5,7 +5,9 @@ opposite sides, and `straddles` says whether a group has members on both
 sides of a splitting.  The package decides the same questions from one
 table of group unions.  `dense_projector_sum` writes a state out as the
 plain sum of full-size basis projectors, which the oracle's support-only
-build must reproduce bit for bit.  The dense replay of the protocol
+build must reproduce bit for bit, and `partial_transpose_dense` swaps
+tensor axes, which the oracle's index map must reproduce bit for bit.
+The dense replay of the protocol
 moves (`measure_plus_dense`, `join_dense`, `effective_pair_dense`,
 `permute_dense`, read back by `coefficients_from_density`) carries out
 each move index by index on explicit matrices.  These stay here, outside
@@ -154,6 +156,16 @@ def coefficients_from_density(mat: np.ndarray, tol: float = 1e-10) -> FamilyStat
             f"(max deviation {deviation:.3e} > {tol:.1e})"
         )
     return candidate
+
+
+def partial_transpose_dense(mat: np.ndarray, parties) -> np.ndarray:
+    """The partial transpose by its definition: swap each party's row and column axes."""
+    n = _party_count(mat)
+    ps = _check_party_set(n, parties, "parties")
+    axes = list(range(2 * n))
+    for p in ps:
+        axes[p - 1], axes[n + p - 1] = axes[n + p - 1], axes[p - 1]
+    return mat.reshape([2] * (2 * n)).transpose(axes).reshape(mat.shape)
 
 
 def measure_plus_dense(mat: np.ndarray, party: int) -> np.ndarray:

@@ -691,9 +691,9 @@ def check_multigroup_counterexamples():
     activating 8-party partition in sweep order is 1,2,3|4,5,6|7,8 (only
     the triples distill) and the first activating percent-band witness is
     1,2,3,4|5,6,7,8,9|10.  For both, no separating splitting blocks the
-    pair and the pipeline ends above fidelity 1/2; at 8 parties the dense
-    oracle finds a negative partial transpose on each unstraddled
-    separating splitting (the dense route stops at 8 parties)."""
+    pair and the pipeline ends above fidelity 1/2; the oracle finds a
+    negative partial transpose on each unstraddled separating splitting,
+    in the dense matrix at 8 parties and in the agreement report at 10."""
     spec8 = example_pattern("I", n=8, j=3)
     first8 = _first_activating(spec8, iter_set_partitions(8))
     _require(first8 == ((1, 2, 3), (4, 5, 6), (7, 8)),
@@ -727,6 +727,18 @@ def check_multigroup_counterexamples():
         ev = min_pt_eigenvalue(mat, sp)
         _require(ev < -DENSE_TOL,
                  f"dense oracle finds {sp} not distillable (min eigenvalue {ev:+.3e})")
+
+    g10 = Grouping.from_sets(10, first10)
+    report10 = ppt_agreement_report(from_specification(spec10), tol=DENSE_TOL)
+    open10 = [sp for sp in separating_splittings(10, first10[0], first10[1])
+              if not any(straddles(sp, g) for g in g10.groups)]
+    _require(report10.all_agree and open10,
+             f"agreement report at 10 parties: all_agree {report10.all_agree}, "
+             f"{len(open10)} unstraddled separating splittings")
+    for sp in open10:
+        ev = report10.checks[sp.mask - 1].min_eigenvalue
+        _require(ev < -DENSE_TOL,
+                 f"oracle finds {sp} not distillable (min eigenvalue {ev:+.3e})")
 
 
 # pytest wrappers -----------------------------------------------------------

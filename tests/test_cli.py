@@ -381,6 +381,19 @@ def test_verify_agreement(tmp_path, capsys):
         assert rc == 2 and out == "" and "tolerance must be finite and nonnegative" in err
 
 
+def test_verify_reaches_twelve_parties_and_refuses_thirteen(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    save_state(example_state("V", 12), str(path))
+    rc, out, _ = run(capsys, "verify", "--state", str(path), "--pretty")
+    assert rc == 0
+    assert out.splitlines()[-1] == "agreement: complete"
+    assert len(out.splitlines()) == 2048
+    save_state(example_state("V", 13), str(path))
+    rc, out, err = run(capsys, "verify", "--state", str(path))
+    assert rc == 2 and out == ""
+    assert "agreement report caps at 12 parties" in err
+
+
 def test_verify_flags_boundary_disagreement(tmp_path, capsys):
     # indicator says distillable by 2e-12 but the eigenvalue check at
     # tolerance 1e-10 reads the dense matrix as separable

@@ -186,6 +186,25 @@ def test_validate_reports_problems():
     assert any("labels [2]" in p for p in validate(FamilyState(3, 0.5, 0.0, (0.25, nan, 0.0))))
 
 
+@pytest.mark.parametrize(
+    "state, problem",
+    [
+        (FamilyState(2, "0.6", 0.0, (0.2,)), "lam0_plus is not a real number ('0.6')"),
+        (FamilyState(2, 0.6, None, (0.2,)), "lam0_minus is not a real number (None)"),
+        (FamilyState(2, True, 0.0, (0.0,)), "lam0_plus is not a real number (True)"),
+        (FamilyState(2, 0.6j, 0.0, (0.2,)), "lam0_plus is not a real number (0.6j)"),
+        (FamilyState(3, 0.5, 0.0, (0.2, None, 0.05)), "non-real coefficients at labels [2]"),
+        (FamilyState(3, 0.5, 0.0, (True, 0.2, 0.05)), "non-real coefficients at labels [1]"),
+        (FamilyState(3, 0.5, 0.0, ("0.2", 0.2, False)), "non-real coefficients at labels [1, 3]"),
+        (FamilyState(2, 10**400, 0.0, (0.2,)), "lam0_plus is not finite"),
+        (FamilyState(3, 0.5, 0.0, (0.2, -10**400, 0.05)), "non-finite coefficients at labels [2]"),
+    ],
+)
+def test_validate_reports_weights_that_are_not_finite_real_numbers(state, problem):
+    # reported, never raised; a bool weight does not pass for 0.0 or 1.0
+    assert any(p.startswith(problem) for p in validate(state)), validate(state)
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=3, max_value=7), st.data())
 def test_separating_count_is_power_of_two(n, data):

@@ -1,7 +1,9 @@
-"""Dense brute-force oracle: density matrices, partial transpose, agreement."""
+"""Brute-force oracle: density matrices, the partial-transpose index map, agreement."""
 from __future__ import annotations
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from entact import FamilyState, Splitting, example_state, random_family_state
 from entact.oracle import (
     DENSE_PARTY_CAP,
-    _min_eigenvalue,
+    REPORT_PARTY_CAP,
+    _deflated_min,
     build_density,
     min_pt_eigenvalue,
     partial_transpose,
@@ -22,6 +25,7 @@ from reference import (
     ghz_basis_vector,
     join_dense,
     measure_plus_dense,
+    partial_transpose_dense,
     permute_dense,
 )
 
@@ -56,11 +60,23 @@ def test_partial_transpose_is_involutive():
         double = partial_transpose(partial_transpose(mat, parties), parties)
         assert np.allclose(double, mat, atol=1e-14)
     full = partial_transpose(mat, [1, 2, 3, 4])
-    assert np.allclose(full, mat.T, atol=1e-14)
+    assert np.array_equal(full, mat.T)
     with pytest.raises(ValueError):
         partial_transpose(mat, [5])
     with pytest.raises(ValueError):
         partial_transpose(np.zeros((3, 3)), [1])
+
+
+def test_partial_transpose_of_a_dense_matrix_equals_the_reshape_reference():
+    # every party set, the anchor party n included, on a matrix with no zero entry
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 4):
+        dim = 1 << n
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for k in range(1, n + 1):
+            for parties in itertools.combinations(range(1, n + 1), k):
+                pt = partial_transpose(mat, parties)
+                assert pt.tobytes() == partial_transpose_dense(mat, parties).tobytes(), parties
 
 
 def test_min_pt_eigenvalue_closed_form():
@@ -89,6 +105,39 @@ def _catalog_and_random_states():
     for n in range(2, DENSE_PARTY_CAP + 1):
         for seed in range(3):
             yield random_family_state(n, seed)
+
+
+@pytest.mark.parametrize("state", list(_catalog_and_random_states()), ids=lambda s: f"n{s.n}")
+def test_partial_transpose_index_map_equals_the_reshape_reference(state):
+    # both sides of every splitting: side A holds party n, side B never does
+    mat = build_density(state)
+    for mask in range(1, state.label_count + 1):
+        split = Splitting(state.n, mask)
+        for side in (split.side_b, split.side_a):
+            pt = partial_transpose(mat, side)
+            assert pt.tobytes() == partial_transpose_dense(mat, side).tobytes(), (mask, side)
+
+
+@pytest.mark.parametrize("state", list(_catalog_and_random_states()), ids=lambda s: f"n{s.n}")
+def test_report_matches_the_full_solve_of_the_reference_transpose(state):
+    mat = build_density(state)
+    report = ppt_agreement_report(state)
+    assert report.all_agree
+    assert [c.split.mask for c in report.checks] == list(range(1, state.label_count + 1))
+    for check in report.checks:
+        full = float(np.linalg.eigvalsh(partial_transpose_dense(mat, check.split.side_b)).min())
+        assert abs(check.min_eigenvalue - full) <= 1e-15, (check.split.mask, full)
+        assert check.indicator == state.indicator(check.split.mask)
+        assert (full < -report.tol) == bool(check.indicator)
+        # the dense entry point runs the same map and solve on the whole matrix
+        assert min_pt_eigenvalue(mat, check.split) == check.min_eigenvalue
+
+
+def test_report_reaches_past_the_dense_cap():
+    for n in range(DENSE_PARTY_CAP + 1, REPORT_PARTY_CAP + 1):
+        report = ppt_agreement_report(example_state("V", n))
+        assert report.all_agree, n
+        assert len(report.checks) == (1 << (n - 1)) - 1
 
 
 def _coupled_count(mat: np.ndarray) -> int:
@@ -126,6 +175,14 @@ def _sparse_hermitian(rng, dim, density, complex_):
     return mat + off + off.conj().T
 
 
+def _deflated_dense(mat: np.ndarray) -> float:
+    """The deflated solve, given a dense matrix's diagonal and nonzero off-diagonal entries."""
+    rows, cols = np.nonzero(mat)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return _deflated_min(mat.diagonal(), rows, cols, mat[rows, cols])
+
+
 def test_deflated_min_eigenvalue_matches_the_full_solve():
     rng = np.random.default_rng(1413)
     cases = []
@@ -139,9 +196,9 @@ def test_deflated_min_eigenvalue_matches_the_full_solve():
     for mat in cases:
         full = np.linalg.eigvalsh(mat)
         scale = max(1.0, float(np.abs(full).max()))
-        assert abs(_min_eigenvalue(mat) - full.min()) <= 1e-12 * scale
+        assert abs(_deflated_dense(mat) - full.min()) <= 1e-12 * scale
     diag = np.diag(rng.normal(size=32))
-    assert _min_eigenvalue(diag) == diag.diagonal().min()
+    assert _deflated_dense(diag) == diag.diagonal().min()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -153,6 +210,25 @@ def test_min_pt_eigenvalue_rejects_non_finite_entries(value, row, col):
         min_pt_eigenvalue(mat, Splitting(4, 1))
     with pytest.raises(ValueError, match=rf"entry \({row}, {col}\) is not finite"):
         min_pt_eigenvalue(mat.astype(np.complex128), Splitting(4, 3))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_rejects_non_finite_coefficients(value):
+    # the report names the first non-finite entry of the matrix it never forms,
+    # in row-major order, as the dense route does
+    with pytest.raises(ValueError, match=re.escape(f"matrix entry (3, 3) is not finite: {value}")):
+        ppt_agreement_report(FamilyState(3, 0.5, 0.0, (value, 0.2, 0.05)))
+    for state in (
+        FamilyState(3, 0.5, 0.0, (0.1, 0.2, value)),
+        FamilyState(4, value, 0.0, (0.1,) * 7),
+        FamilyState(4, 0.5, value, (0.1,) * 7),
+        FamilyState(4, 0.5, 0.0, (0.1, 0.0, value, 0.0, value, 0.1, 0.1)),
+    ):
+        mat = build_density(state)
+        row, col = np.argwhere(~np.isfinite(mat))[0]
+        message = f"matrix entry ({row}, {col}) is not finite: {mat[row, col]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ppt_agreement_report(state)
 
 
 def test_agreement_on_random_states():
@@ -177,6 +253,15 @@ def test_party_cap_enforced():
     big = FamilyState(DENSE_PARTY_CAP + 1, 1.0, 0.0, (0.0,) * ((1 << DENSE_PARTY_CAP) - 1))
     with pytest.raises(ValueError, match=f"dense route caps at {DENSE_PARTY_CAP} parties"):
         build_density(big)
+    for dense_view in (lambda m: partial_transpose(m, [1]), lambda m: min_pt_eigenvalue(m, Splitting(9, 1))):
+        with pytest.raises(ValueError, match=f"dense route caps at {DENSE_PARTY_CAP} parties"):
+            dense_view(np.zeros((512, 512)))
+    # the report never forms the matrix, so it has a cap of its own
+    assert ppt_agreement_report(big).all_agree
+    n = REPORT_PARTY_CAP + 1
+    too_big = FamilyState(n, 1.0, 0.0, (0.0,) * ((1 << (n - 1)) - 1))
+    with pytest.raises(ValueError, match=f"agreement report caps at {REPORT_PARTY_CAP} parties"):
+        ppt_agreement_report(too_big)
     # a wrong coefficient count never reaches the build: the state refuses it
     for lam in ((0.1,) * 6, (0.1,) * 8):
         with pytest.raises(ValueError, match=f"length {len(lam)}, expected 7"):
