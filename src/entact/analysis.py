@@ -6,14 +6,19 @@ The answer needs only the indicator vector.  A splitting blocks the pair
 when it puts c opposite d, carries indicator 0, and is straddled by no
 group; the pair is distillable exactly when no splitting blocks it.
 
-Every verdict reads one table per grouping, built by `_union_table`:
-the splittings no group straddles, which are the unions of the groups
-lacking party n, and for each group the unions that hold it.  A union
-separates two groups exactly when it holds one of them, so
-`grouping_report`, the single-pair verdicts and the clauses of
-`_compile` are all reads of that table.  Groups distill exactly when
-the same indicator-0 unions hold both: distillability within a grouping
-is an equivalence, whose classes are the GHZ-capable collections.
+Every verdict reads one table, built by `_union_table`: the splittings
+no group straddles, which are the unions of the groups lacking party
+n, and for each group the unions that hold it.  A union separates two
+groups exactly when it holds one of them, so `grouping_report`, the
+single-pair verdicts and the clauses of `_compile` are all reads of
+the table of their grouping.  A sweep builds one table per partition
+of parties 1..n-1, with party n alone, and shares it across the
+placements of party n: when party n joins group i, the grouping's
+unions are those without group i, so masking them out of the shared
+table gives the same signatures in the same label order.  Groups
+distill exactly when the same indicator-0 unions hold both:
+distillability within a grouping is an equivalence, whose classes are
+the GHZ-capable collections.
 """
 from __future__ import annotations
 
@@ -154,9 +159,43 @@ class GroupingReport:
         return next(pv for pv in self.pairs if {pv.c, pv.d} == {groups[i], groups[j]})
 
 
-def grouping_report(
-    state: FamilyState | Specification, grouping: Grouping, *, _memo: _Memo | None = None
+def _report(
+    grouping: Grouping, unions: Sequence[int], sig: Sequence[int], memo: _Memo
 ) -> GroupingReport:
+    """The report of `grouping` from its signatures over the union table `unions`.
+
+    sig[i] is the bitmask of the indicator-0 unions holding group i, over
+    a table whose label grows with the union index.  Groups i and j are
+    blocked by the lowest union where their signatures differ.  The
+    memo's Splitting and PairVerdict objects are reused and extended.
+    """
+    groups = grouping.groups
+    masks = grouping.masks
+    splits, verdicts = memo
+    pairs = []
+    linked = False
+    for i, j in combinations(range(len(groups)), 2):
+        blockers = sig[i] ^ sig[j]
+        label = unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
+        key = (masks[i], masks[j], label)
+        pv = verdicts.get(key)
+        if pv is None:
+            if label not in splits:
+                splits[label] = Splitting(grouping.n, label)
+            pv = verdicts[key] = PairVerdict(groups[i], groups[j], not label, splits[label])
+        pairs.append(pv)
+        linked = linked or not label
+    best = 1
+    if linked:
+        classes: dict[int, int] = {}
+        for i, s in enumerate(sig):
+            classes[s] = classes.get(s, 0) | 1 << i
+        best = min(classes.values(), key=lambda c: (-c.bit_count(), c))
+    ghz = tuple(g for i, g in enumerate(groups) if best >> i & 1)
+    return GroupingReport(grouping, tuple(pairs), ghz)
+
+
+def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> GroupingReport:
     """Verdict for every pair of groups, plus the largest GHZ-capable collection.
 
     Groups i and j distill exactly when their signatures, the
@@ -167,68 +206,51 @@ def grouping_report(
     indicator vector alone, as every verdict does.
     """
     _check_grouping(state.n, grouping)
-    groups = grouping.groups
-    masks = grouping.masks
-    k = len(groups)
-    unions, inside = _union_table(masks)
+    unions, inside = _union_table(grouping.masks)
     zero = _zero_unions(state.indicator_vector(), unions)
-    sig = [zero & s for s in inside]
-    splits, verdicts = ({0: None}, {}) if _memo is None else _memo
-    pairs = []
-    linked = False
-    for i, j in combinations(range(k), 2):
-        label = _lowest_label(unions, sig[i] ^ sig[j])
-        key = (masks[i], masks[j], label)
-        pv = verdicts.get(key)
-        if pv is None:
-            if label not in splits:
-                splits[label] = Splitting(state.n, label)
-            pv = verdicts[key] = PairVerdict(groups[i], groups[j], not label, splits[label])
-        pairs.append(pv)
-        linked = linked or not label
-    best = 1
-    if linked:
-        classes: dict[int, int] = {}
-        for i, s in enumerate(sig):
-            classes[s] = classes.get(s, 0) | 1 << i
-        best = min(classes.values(), key=lambda c: (-c.bit_count(), c))
-    ghz = tuple(groups[i] for i in range(k) if best >> i & 1)
-    return GroupingReport(grouping, tuple(pairs), ghz)
+    return _report(grouping, unions, [zero & s for s in inside], ({0: None}, {}))
 
 
-def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Group bitmasks of every partition of {1..n}, in restricted-growth order.
+def _grow(n: int, least: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Group bitmasks of the partitions of {1..n} into `least`..`most` blocks.
 
-    Built a party at a time, recursing once per party: the next party
-    joins each open group in turn, then opens a new one if the block cap
-    allows.  Groups come in order of their lowest member, the canonical
-    order of a Grouping.  With `blocks` set, only partitions with
-    exactly that many blocks.
+    In restricted-growth order, built a party at a time, recursing once
+    per party: the next party joins each open group in turn, then opens
+    a new one if `most` allows.  A branch that can no longer reach
+    `least` groups stops.  Groups come in order of their lowest member,
+    the canonical order of a Grouping.
     """
-    _check_size(n, 1, "partition")
-    if blocks is not None and blocks < 1:
-        raise ValueError("blocks must be at least 1")
-    if blocks is not None and blocks > n:
-        return
-    cap = n if blocks is None else blocks
     masks: list[int] = []
 
     def grow(p: int) -> Iterator[tuple[int, ...]]:
+        if len(masks) + n - p < least:
+            return
         if p == n:
-            if blocks is None or len(masks) == blocks:
-                yield tuple(masks)
+            yield tuple(masks)
             return
         bit = 1 << p
         for i in range(len(masks)):
             masks[i] |= bit
             yield from grow(p + 1)
             masks[i] ^= bit
-        if len(masks) < cap:
+        if len(masks) < most:
             masks.append(bit)
             yield from grow(p + 1)
             masks.pop()
 
-    yield from grow(0)
+    return grow(0)
+
+
+def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Group bitmasks of every partition of {1..n}, in restricted-growth order.
+
+    With `blocks` set, only partitions with exactly that many blocks.
+    """
+    _check_size(n, 1, "partition")
+    if blocks is None:
+        return _grow(n, 1, n)
+    _check_size(blocks, 1, "partition", "blocks")
+    return _grow(n, blocks, blocks)
 
 
 def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -237,8 +259,48 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
     The party tuples of `_partition_masks`, in its order.  With `blocks`
     set, only partitions with exactly that many blocks.
     """
-    for masks in _partition_masks(n, blocks):
-        yield tuple(tuple(p for p in range(1, n + 1) if m >> (p - 1) & 1) for m in masks)
+    return (
+        tuple(tuple(p for p in range(1, n + 1) if m >> (p - 1) & 1) for m in masks)
+        for masks in _partition_masks(n, blocks)
+    )
+
+
+def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[GroupingReport]:
+    """Reports of the groupings with `blocks` groups, or of all when None.
+
+    In restricted-growth order.  Walks the partitions of parties
+    1..n-1, the heads; party n is the last digit of the order, so each
+    head's completions follow it: party n joins group 0..m-1, then
+    stands alone.  A head's union table, built with party n alone,
+    serves all m + 1 completions.  Its unions are those of the groups
+    lacking party n; when party n joins group i, the grouping's own
+    unions are those without group i, and masking keeps their label
+    order, so every lowest label is the same.
+    """
+    n = state.n
+    last = 1 << (n - 1)
+    indicator = state.indicator_vector()
+    heads = _grow(n - 1, 1, n - 1) if blocks is None else _grow(n - 1, blocks - 1, blocks)
+    memo: _Memo = ({0: None}, {})
+    for head in heads:
+        m = len(head)
+        unions, inside = _union_table(head + (last,))
+        zero = _zero_unions(indicator, unions)
+        for i in range(m + 1):
+            # joining group i keeps m groups; standing alone makes m + 1
+            if blocks is not None and blocks != (m if i < m else m + 1):
+                continue
+            if i < m:
+                keep = zero & ~inside[i]
+                sig = [keep & s for s in inside[:m]]
+                sig[i] = 0
+                masks = head[:i] + (head[i] | last,) + head[i + 1:]
+            else:
+                sig = [zero & s for s in inside]
+                masks = head + (last,)
+            if len(memo[1]) >= _MEMO_CAP:
+                memo = ({0: None}, {})
+            yield _report(Grouping.from_masks(n, masks), unions, sig, memo)
 
 
 def classify_groupings(
@@ -246,24 +308,22 @@ def classify_groupings(
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
-    The reports read the indicator vector alone.  The reports of one
-    sweep share their immutable PairVerdict and Splitting objects: a
-    pair of groups that meets the same verdict in many groupings holds
-    one object for all of them, until the memo reaches `_MEMO_CAP`
-    verdicts and starts afresh.  The number of set partitions grows
-    very fast, hence the guard on the party count; raise it knowingly.
+    The reports read the indicator vector alone, one union table per
+    partition of parties 1..n-1, shared by the placements of party n.
+    The reports of one sweep share their immutable PairVerdict and
+    Splitting objects: a pair of groups that meets the same verdict in
+    many groupings holds one object for all of them, until the memo
+    reaches `_MEMO_CAP` verdicts and starts afresh.  The number of set
+    partitions grows very fast, hence the guard on the party count,
+    checked when the sweep is asked for; raise it knowingly.
     """
+    _check_size(guard, 1, "sweep", "guard")
     if state.n > guard:
         raise ValueError(
             f"sweeping all groupings of {state.n} parties is a large enumeration; "
             f"pass guard={state.n} to confirm"
         )
-    blocks = 2 if two_groups_only else None
-    memo: _Memo = ({0: None}, {})
-    for masks in _partition_masks(state.n, blocks):
-        if len(memo[1]) >= _MEMO_CAP:
-            memo = ({0: None}, {})
-        yield grouping_report(state, Grouping.from_masks(state.n, masks), _memo=memo)
+    return _sweep(state, 2 if two_groups_only else None)
 
 
 Requirement = Callable[[Specification], bool]

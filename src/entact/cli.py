@@ -255,12 +255,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.all_groupings:
         if args.assert_ or args.pair:
             raise ValueError("--assert and --pair need a single --grouping")
-        if state.n > args.guard:
+        guard = 10 if args.guard is None else args.guard
+        if state.n > guard:
             raise ValueError(
                 f"sweeping all groupings of {state.n} parties is a large enumeration; "
                 f"pass --guard {state.n} to confirm"
             )
-        reports = classify_groupings(state, guard=args.guard, two_groups_only=args.two_groups_only)
+        reports = classify_groupings(state, guard=guard, two_groups_only=args.two_groups_only)
         if args.pretty:
             for rep in reports:
                 flags = " ".join(
@@ -275,6 +276,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                           "count": count}, "reports", map(_report_fields, reports))
         return 0
 
+    if args.two_groups_only or args.guard is not None:
+        raise ValueError("--two-groups-only and --guard need --all-groupings")
     grouping = _parse_grouping(state.n, args.grouping)
     rep = grouping_report(state, grouping)
     if args.pair:
@@ -465,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="restrict the sweep to two-group partitions")
     ana.add_argument("--pair", type=int, nargs=2, metavar=("I", "J"),
                      help="report only the pair of groups holding parties I and J")
-    ana.add_argument("--guard", type=int, default=10,
+    ana.add_argument("--guard", type=int,
                      help="party-count guard for the sweep (default 10)")
     ana.add_argument("--assert", action="store_true", dest="assert_",
                      help="exit 1 unless the reported verdicts are all true")

@@ -51,10 +51,10 @@ def _party_text(parties: Iterable[int]) -> str:
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
 
 
-def _check_size(n: object, least: int, what: str) -> int:
-    """A party count must be a plain int of at least `least`."""
+def _check_size(n: object, least: int, what: str, name: str = "n") -> int:
+    """A count, by default the party count n, must be a plain int of at least `least`."""
     if type(n) is not int or n < least:
-        raise ValueError(f"a {what} needs an integer n of at least {least}, got n={n!r}")
+        raise ValueError(f"a {what} needs an integer {name} of at least {least}, got {name}={n!r}")
     return n
 
 

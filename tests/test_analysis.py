@@ -184,6 +184,15 @@ def test_iter_set_partitions_counts_and_order():
         list(iter_set_partitions(0))
 
 
+@pytest.mark.parametrize("blocks", [True, 2.0, "2", 0, -1])
+def test_iter_set_partitions_rejects_a_block_count_that_is_not_a_plain_int(blocks):
+    # the check runs when the walk is asked for, before any partition
+    with pytest.raises(ValueError, match=f"got blocks={blocks!r}"):
+        iter_set_partitions(4, blocks)
+    with pytest.raises(ValueError, match=f"got blocks={blocks!r}"):
+        analysis._partition_masks(4, blocks)
+
+
 def test_iter_set_partitions_with_blocks_matches_filtered_walk():
     for n in range(1, 8):
         every = list(iter_set_partitions(n))
@@ -213,7 +222,9 @@ def test_iter_set_partitions_matches_reference_walk():
 
 def test_classify_groupings_matches_report_per_grouping(monkeypatch):
     states = list(CATALOG_STATES)
-    states += [random_family_state(n, seed) for n in range(3, 8) for seed in range(3)]
+    states += [random_family_state(n, seed) for n in range(2, 8) for seed in range(3)]
+    # n = 8: a random state and a Specification input
+    states += [random_family_state(8, 0), example_pattern("IV", 8, j=2)]
     # a tiny memo cap starts the memo afresh many times per sweep
     caps = (analysis._MEMO_CAP, 3)
     for state in states:
@@ -251,10 +262,27 @@ def test_classify_groupings_covers_every_partition():
 def test_classify_groupings_guard():
     labels = (1 << 10) - 1
     big = FamilyState(11, 1.0, 0.0, (0.0,) * labels)
-    with pytest.raises(ValueError):
-        list(classify_groupings(big))
+    # the guard is checked when the sweep is asked for, not at its first report
+    with pytest.raises(ValueError, match="pass guard=11 to confirm"):
+        classify_groupings(big)
     head = next(classify_groupings(big, guard=11))
     assert head.grouping.groups == (frozenset(range(1, 12)),)
+
+
+@pytest.mark.parametrize("guard", [True, 4.5, 10.0, "10", None, 0])
+def test_classify_groupings_rejects_a_guard_that_is_not_a_plain_int(guard):
+    with pytest.raises(ValueError, match=f"got guard={guard!r}"):
+        classify_groupings(random_family_state(3, 0), guard=guard)
+
+
+def test_classify_two_groups_only_matches_report_per_grouping():
+    for n in range(2, 10):
+        state = random_family_state(n, seed=n)
+        got = list(classify_groupings(state, two_groups_only=True))
+        assert len(got) == (1 << (n - 1)) - 1
+        want = [grouping_report(state, Grouping.from_sets(n, p)) for p in iter_set_partitions(n, 2)]
+        assert got == want
+        assert [r.grouping.masks for r in got] == [r.grouping.masks for r in want]
 
 
 def test_classify_two_groups_only():

@@ -287,6 +287,16 @@ def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
     assert "pass --guard 4 to confirm" in err
 
 
+@pytest.mark.parametrize("flags", [["--two-groups-only"], ["--guard", "1"],
+                                   ["--two-groups-only", "--guard", "1"]])
+def test_analyze_refuses_sweep_flags_without_a_sweep(vi_state_file, capsys, flags):
+    rc, out, err = run(
+        capsys, "analyze", "--state", vi_state_file, "--grouping", "1|2|3,4", *flags
+    )
+    assert rc == 2 and out == ""
+    assert "--two-groups-only and --guard need --all-groupings" in err
+
+
 def test_analyze_pair_within_one_group(vi_state_file, capsys):
     rc, _, err = run(
         capsys, "analyze", "--state", vi_state_file,
