@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import FamilyState, Grouping, Specification, Splitting, _check_size, _party_text
+from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_size,
+                    _party_text)
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
@@ -86,8 +87,9 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
     """Indices of groups c and d in `grouping`."""
     _check_grouping(n, grouping)
     groups = grouping.groups
-    cset = frozenset(c)
-    dset = frozenset(d)
+    # each member is checked before it is hashed: True or 2.0 would find group {1} or {2}
+    cset = frozenset(map(_check_party, c))
+    dset = frozenset(map(_check_party, d))
     for name, s in (("c", cset), ("d", dset)):
         if s not in groups:
             raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
@@ -241,27 +243,20 @@ def _grow(n: int, least: int, most: int) -> Iterator[tuple[int, ...]]:
     return grow(0)
 
 
-def _partition_masks(n: int, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Group bitmasks of every partition of {1..n}, in restricted-growth order.
-
-    With `blocks` set, only partitions with exactly that many blocks.
-    """
-    _check_size(n, 1, "partition")
-    if blocks is None:
-        return _grow(n, 1, n)
-    _check_size(blocks, 1, "partition", "blocks")
-    return _grow(n, blocks, blocks)
-
-
 def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of {1..n} in restricted-growth order, first-member blocks first.
 
-    The party tuples of `_partition_masks`, in its order.  With `blocks`
-    set, only partitions with exactly that many blocks.
+    With `blocks` set, only partitions with exactly that many blocks.
+    Both counts are checked when the walk is asked for.
     """
+    _check_size(n, 1, "partition")
+    if blocks is None:
+        walk = _grow(n, 1, n)
+    else:
+        walk = _grow(n, _check_size(blocks, 1, "partition", "blocks"), blocks)
     return (
         tuple(tuple(p for p in range(1, n + 1) if m >> (p - 1) & 1) for m in masks)
-        for masks in _partition_masks(n, blocks)
+        for masks in walk
     )
 
 
@@ -440,6 +435,7 @@ def search_specifications(
     raising max_n past 5 is the caller's own risk.
     """
     _check_size(n, 2, "search")
+    _check_size(max_n, 2, "search", "max_n")
     if isinstance(requirement, Clauses):
         requirement._check_n(n)
         test = requirement.holds

@@ -33,7 +33,8 @@ from .analysis import (
     search_specifications,
 )
 from .construct import example_state, from_specification, random_family_state
-from .model import FamilyState, Grouping, Specification, Splitting, _party_text, validate
+from .model import (FamilyState, Grouping, Specification, Splitting, _check_size, _party_text,
+                    validate)
 from .protocols import PipelineTrace, distill_pipeline
 
 STATE_SCHEMA = 1
@@ -255,7 +256,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.all_groupings:
         if args.assert_ or args.pair:
             raise ValueError("--assert and --pair need a single --grouping")
-        guard = 10 if args.guard is None else args.guard
+        guard = 10 if args.guard is None else _check_size(args.guard, 1, "sweep", "--guard")
         if state.n > guard:
             raise ValueError(
                 f"sweeping all groupings of {state.n} parties is a large enumeration; "

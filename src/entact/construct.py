@@ -89,6 +89,9 @@ def example_pattern(
         raise ValueError(f"pattern {key} needs n")
     _check_size(n, 2, "pattern")
 
+    if j is not None:
+        _check_size(j, 1, "pattern", "j")
+
     if key == "I":
         if not 1 <= j <= n - 1:
             raise ValueError(f"j must lie in [1, {n - 1}] for n={n}")

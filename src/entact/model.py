@@ -15,7 +15,7 @@ Each input rule has one home here, and every layer calls it:
 `_check_size` for a party count, `_check_party` for a party number (a
 plain int, never True or 1.0), `_check_party_set`, `_check_order` for a
 relabeling, `_check_label` for a splitting label and `_check_group_masks`
-for a partition into groups.
+for a partition into groups.  `FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
 
@@ -189,21 +189,20 @@ class FamilyState:
         return self.lam[_check_label(label, self.n) - 1]
 
     def indicator(self, label: int) -> int:
-        """1 when the splitting with this label has a negative partial transpose.
-
-        The comparison is strict: a coefficient sitting exactly on delta/2
-        belongs to the separable side.
-        """
-        return 1 if self.coefficient(label) < 0.5 * self.delta else 0
+        """1 when the splitting with this label has a negative partial transpose."""
+        return self._indicators[_check_label(label, self.n) - 1]
 
     def indicator_vector(self) -> tuple[int, ...]:
         return self._indicators
 
     @cached_property
     def _indicators(self) -> tuple[int, ...]:
-        # computed once per instance: a sweep asks for it once per grouping
+        """Label k is 1 exactly when lam[k - 1] < delta/2, computed once per instance.
+
+        The comparison is strict: a coefficient on delta/2 is separable.
+        """
         half = 0.5 * self.delta
-        return tuple(1 if v < half else 0 for v in self.lam)
+        return tuple([1 if v < half else 0 for v in self.lam])
 
     def total_weight(self) -> float:
         return self.lam0_plus + self.lam0_minus + 2.0 * sum(self.lam)
@@ -307,14 +306,12 @@ class Grouping:
         masks = []
         union = 0
         for g in self.groups:
-            mask = 0
-            for p in map(_check_party, g):
-                if 1 <= p <= n:
-                    mask |= 1 << (p - 1)
-                else:
-                    unknown.add(p)
-            masks.append(mask)
-            union |= mask
+            members = list(map(_check_party, g))
+            inside = [p for p in members if 1 <= p <= n]
+            if len(inside) < len(members):
+                unknown.update(p for p in members if not 1 <= p <= n)
+            masks.append(party_bitmask(inside))
+            union |= masks[-1]
         if unknown:
             raise _cover_error(n, union, unknown)
         masks.sort(key=lambda m: m & -m)
@@ -399,14 +396,14 @@ class Specification:
     @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Specification":
         labels = _spec_labels(n)
-        unknown = sorted(m for m in mapping if m not in labels)
-        if unknown or len(mapping) != labels.stop - 1:
+        # each key is checked before it is looked up: True or 3.0 would pass for a label
+        for m in mapping:
+            _check_label(m, n)
+        if len(mapping) != labels.stop - 1:
             # scan labels lazily: a large n must fail fast, not build all 2^(n-1) labels
             missing = list(islice((m for m in labels if m not in mapping), 8))
             raise ValueError(
-                f"mapping must cover every label 1..{labels.stop - 1}"
-                + (f"; missing {missing}" if missing else "")
-                + (f"; unknown {unknown[:8]}" if unknown else "")
+                f"mapping must cover every label 1..{labels.stop - 1}; missing {missing}"
             )
         return cls(n, tuple(mapping[m] for m in labels))
 

@@ -9,7 +9,7 @@ two routes can be compared there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
@@ -57,31 +57,29 @@ def _check_measurable(state: FamilyState, party: int) -> None:
         raise ValueError(f"party {party} outside 1..{state.n}")
 
 
-def _parent_pairs(state: FamilyState, party: int) -> Iterator[tuple[float, float]]:
-    """The (parent 0, parent 1) coefficients of each child label left by measuring `party`.
+def _parent_pairs(n: int, party: int) -> list[tuple[int, int]]:
+    """The lam indices (parent 0, parent 1) of each child label left by measuring `party`.
 
-    A parent keeps the child's bits below `party`, moves the others up one
-    position and holds 0 or 1 at the freed bit.
+    Parent 0 of child label k is the k-th label with the bit of `party`
+    clear, and parent 1 is that label with the bit set.
     """
-    pos = party - 1
-    low = (1 << pos) - 1
-    for child in range(1, 1 << (state.n - 2)):
-        zero = (child & low) | (child >> pos << party)
-        yield state.lam[zero - 1], state.lam[(zero | 1 << pos) - 1]
+    bit = 1 << (party - 1)
+    return [(z - 1, z - 1 + bit) for z in range(1, 1 << (n - 1)) if not z & bit]
 
 
 def required_amplification(state: FamilyState, party: int) -> int:
     """Smallest power letting the merge after measuring `party` keep its indicators.
 
     Measuring merges the two parent coefficients of every child label by
-    addition.  When both parents sit strictly below the half-gap their
-    sum may still land above it; powering first shrinks sub-threshold
+    addition.  When both parents are distillable (indicator 1) their sum
+    may still land above the half-gap; powering first shrinks sub-threshold
     ratios fast enough that some finite power always works.  Searches
     1..AMPLIFY_CAP and raises DegenerateStateError beyond the cap.
     """
     _check_measurable(state, party)
     half = 0.5 * state.delta
-    pairs = [(a, b) for a, b in _parent_pairs(state, party) if a < half and b < half]
+    lam, ind = state.lam, state.indicator_vector()
+    pairs = [(lam[a], lam[b]) for a, b in _parent_pairs(state.n, party) if ind[a] and ind[b]]
     for m in range(1, AMPLIFY_CAP + 1):
         target = half ** m
         if all(a ** m + b ** m < target for a, b in pairs):
@@ -104,9 +102,10 @@ def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     first, as distill_pipeline does.
     """
     _check_measurable(state, party)
-    absorbed = state.lam[(1 << (party - 1)) - 1]
-    lam = tuple(a + b for a, b in _parent_pairs(state, party))
-    return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, lam)
+    lam = state.lam
+    absorbed = lam[(1 << (party - 1)) - 1]
+    merged = tuple([lam[a] + lam[b] for a, b in _parent_pairs(state.n, party)])
+    return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, merged)
 
 
 def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:

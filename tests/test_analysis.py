@@ -57,6 +57,23 @@ def test_pair_arguments_must_name_groups():
         necessary_distillable(state, Grouping.all_separate(3), {1}, {2})  # n mismatch
 
 
+@pytest.mark.parametrize("c, d, bad", [({True}, {2}, "True"), ({1.0}, {2}, r"1\.0"),
+                                       ({1}, {2.0}, r"2\.0"), ({3, True}, {2}, "True")])
+def test_pair_members_are_checked_before_they_are_hashed(c, d, bad):
+    # True and 1.0 hash as 1, so without the party rule {True} would find group {1}
+    state = example_state("VI")
+    g = Grouping.from_sets(4, [[1], [2], [3, 4]])
+    message = rf"^party {bad} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        necessary_distillable(state, g, c, d)
+    with pytest.raises(ValueError, match=message):
+        distillation_witness(state, g, c, d)
+    with pytest.raises(ValueError, match=message):
+        grouping_report(state, g).pair(c, d)
+    with pytest.raises(ValueError, match=message):
+        _compile(4, activate=[(g, c, d)], silent=[])
+
+
 def test_witness_properties_hold_whenever_reported():
     state = random_family_state(5, seed=33)
     for part in iter_set_partitions(5):
@@ -189,8 +206,6 @@ def test_iter_set_partitions_rejects_a_block_count_that_is_not_a_plain_int(block
     # the check runs when the walk is asked for, before any partition
     with pytest.raises(ValueError, match=f"got blocks={blocks!r}"):
         iter_set_partitions(4, blocks)
-    with pytest.raises(ValueError, match=f"got blocks={blocks!r}"):
-        analysis._partition_masks(4, blocks)
 
 
 def test_iter_set_partitions_with_blocks_matches_filtered_walk():
@@ -421,3 +436,12 @@ def test_search_respects_size_guard():
     # a compiled requirement names its own party count before the guard
     with pytest.raises(ValueError, match="defined for n=5, not n=6"):
         search_specifications(6, BUILTIN_REQUIREMENTS["any-two"](), max_n=6)
+
+
+@pytest.mark.parametrize("max_n", ["5", True, 5.0, None, 1, 0])
+def test_search_rejects_a_guard_that_is_not_a_plain_int(max_n):
+    # "5" used to escape as a bare TypeError, and True was read as 1
+    with pytest.raises(
+        ValueError, match=rf"^a search needs an integer max_n of at least 2, got max_n={max_n!r}$"
+    ):
+        search_specifications(3, lambda spec: True, max_n=max_n)

@@ -287,6 +287,15 @@ def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
     assert "pass --guard 4 to confirm" in err
 
 
+@pytest.mark.parametrize("guard", ["0", "-2"])
+def test_analyze_refuses_a_guard_below_one(vi_state_file, capsys, guard):
+    rc, out, err = run(
+        capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--guard", guard
+    )
+    assert rc == 2 and out == ""
+    assert err == f"error: a sweep needs an integer --guard of at least 1, got --guard={guard}\n"
+
+
 @pytest.mark.parametrize("flags", [["--two-groups-only"], ["--guard", "1"],
                                    ["--two-groups-only", "--guard", "1"]])
 def test_analyze_refuses_sweep_flags_without_a_sweep(vi_state_file, capsys, flags):

@@ -95,6 +95,14 @@ def test_catalog_iv_trimmed_band():
         example_pattern("IV", n=8, j=5)
 
 
+@pytest.mark.parametrize("key, n", [("I", 4), ("IV", 6)])
+@pytest.mark.parametrize("j", [1.5, True, 2.0, "2", 0])
+def test_catalog_j_is_a_plain_int(key, n, j):
+    # 1.5 gave I an all-zero pattern and IV the pattern of j = 2; True gave j = 1's
+    with pytest.raises(ValueError, match=rf"^a pattern needs an integer j of at least 1, got j={j!r}$"):
+        example_pattern(key, n, j=j)
+
+
 def test_catalog_v_extreme_sizes():
     spec = example_pattern("V", n=6)
     assert len(spec.ones()) == 6

@@ -263,6 +263,13 @@ def test_grouping_partition_rules():
         Grouping.from_sets(3, [[1, 2], [], [3]])
 
 
+def test_grouping_cover_error_joins_the_groups_by_or():
+    # overlapping groups with an unknown party: the union is an OR, so party 2
+    # counts once and only party 4 is missing (a sum of masks would report [2, 3])
+    with pytest.raises(ValueError, match=r"^groups must partition 1\.\.4; missing \[4\]; unknown \[9\]$"):
+        Grouping(4, ([1, 2], [2, 3], [9]))
+
+
 def test_grouping_keeps_masks_out_of_compare_and_repr():
     g = Grouping.from_sets(4, [[3, 4], [1], [2]])
     assert g.masks == (1, 2, 12)  # in the canonical order of the groups
@@ -369,6 +376,16 @@ def test_specification_validation():
         Specification.from_mapping(100, {})
     spec = Specification.from_mapping(3, {1: 1, 2: 0, 3: 1})
     assert spec.bits == (1, 0, 1)
+    # every key is a label: True and 3.0 would pass for labels 1 and 3
+    for key, message in ((True, "label True is not an integer"),
+                         (3.0, r"label 3\.0 is not an integer"),
+                         ("3", "label '3' is not an integer"),
+                         (9, r"label 9 outside \[1, 3\] for n=3")):
+        mapping = {1: 1, 2: 0, 3: 1}
+        mapping.pop(key, None)
+        mapping[key] = 1
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            Specification.from_mapping(3, mapping)
     assert spec.value(2) == 0
     assert Specification.constant(4, 1).bits == (1,) * 7
     assert Specification.constant(3, 0).bits == (0, 0, 0)

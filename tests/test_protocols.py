@@ -123,6 +123,14 @@ def test_required_amplification_worked_case():
     assert child.indicator(1) == 1
 
 
+def test_required_amplification_leaves_a_label_on_the_threshold_out():
+    # label 2 sits exactly on delta/2 = 0.15, so it is separable: its parent
+    # pair (0.15, 0.0) needs no power, although the sum never drops below 0.15
+    state = FamilyState(3, 0.3, 0.0, (0.0, 0.15, 0.0))
+    assert required_amplification(state, 1) == 1
+    assert state.indicator_vector() == (1, 0, 1)
+
+
 def test_measure_near_threshold_ratios_exhaust_the_cap():
     near = 0.2 * (1.0 - 1e-9)
     state = FamilyState.from_unnormalized(3, 0.4, 0.0, (0.0, near, near))
@@ -254,6 +262,9 @@ def test_pipeline_validates_pair_membership():
         distill_pipeline(state, grouping, {1}, {2})
     with pytest.raises(ValueError, match="same group 1,3"):
         distill_pipeline(state, grouping, {1, 3}, {1, 3})
+    # 2.0 finds group {2} by hash; it used to escape later as a bare TypeError
+    with pytest.raises(ValueError, match=r"^party 2\.0 is not an integer$"):
+        distill_pipeline(state, Grouping.from_sets(4, [[1], [2], [3, 4]]), {1}, {2.0})
 
 
 # trace count and sha256 of the float-free trace content below; floats
