@@ -33,6 +33,8 @@ from .model import (FamilyState, Grouping, Specification, Splitting, _check_part
 # each label and the PairVerdict of each (c mask, d mask, label).
 _Memo = tuple[dict[int, Splitting], dict[tuple[int, int, int], "PairVerdict"]]
 
+_SWEEP_GUARD = 10  # the largest party count a sweep takes unless asked for more
+
 # Verdicts a sweep's memo holds before it starts afresh (the largest n = 8 sweep seen: 8,231).
 _MEMO_CAP = 1 << 14
 
@@ -298,8 +300,16 @@ def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[G
             yield _report(Grouping.from_masks(n, masks), unions, sig, memo)
 
 
+def _check_sweep(n: int, guard: object, name: str = "guard") -> None:
+    """A sweep of n parties needs a guard of at least n; errors spell the guard as `name`."""
+    if n > _check_size(guard, 1, "sweep", name):
+        raise ValueError(f"sweeping all groupings of {n} parties is a large enumeration; "
+                         f"pass {name}={n} to confirm")
+
+
 def classify_groupings(
-    state: FamilyState | Specification, *, guard: int = 10, two_groups_only: bool = False
+    state: FamilyState | Specification, *, guard: int = _SWEEP_GUARD,
+    two_groups_only: bool = False,
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
@@ -312,12 +322,7 @@ def classify_groupings(
     partitions grows very fast, hence the guard on the party count,
     checked when the sweep is asked for; raise it knowingly.
     """
-    _check_size(guard, 1, "sweep", "guard")
-    if state.n > guard:
-        raise ValueError(
-            f"sweeping all groupings of {state.n} parties is a large enumeration; "
-            f"pass guard={state.n} to confirm"
-        )
+    _check_sweep(state.n, guard)
     return _sweep(state, 2 if two_groups_only else None)
 
 

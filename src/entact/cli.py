@@ -14,7 +14,7 @@ State files are JSON documents:
 
 where lam[i] belongs to splitting label i + 1.  Specification files for
 `construct --spec` look like {"n": 3, "bits": {"1": 1, "2": 0, "3": 1}}
-and must cover every label.
+and must cover every label, each key the label in plain decimal ("3", not "03").
 """
 from __future__ import annotations
 
@@ -26,15 +26,16 @@ from typing import Any, Iterable
 
 from . import __version__
 from .analysis import (
+    _SWEEP_GUARD,
     BUILTIN_REQUIREMENTS,
     GroupingReport,
+    _check_sweep,
     classify_groupings,
     grouping_report,
     search_specifications,
 )
 from .construct import example_state, from_specification, random_family_state
-from .model import (FamilyState, Grouping, Specification, Splitting, _check_size, _party_text,
-                    validate)
+from .model import FamilyState, Grouping, Specification, Splitting, _party_text, validate
 from .protocols import PipelineTrace, distill_pipeline
 
 STATE_SCHEMA = 1
@@ -60,27 +61,15 @@ def state_from_document(doc: Any) -> FamilyState:
     missing = {"n", "lam0_plus", "lam0_minus", "lam"} - set(doc)
     if missing:
         raise ValueError(f"state document lacks {', '.join(sorted(missing))}")
-    n = doc["n"]
-    lam = doc["lam"]
-    if type(n) is not int:
-        raise ValueError(f"state document: n is {n!r}, not an integer")
-    if not isinstance(lam, list):
+    if not isinstance(doc["lam"], list):
         raise ValueError("state document: lam is not a list")
-    fields = [("lam0_plus", doc["lam0_plus"]), ("lam0_minus", doc["lam0_minus"])]
-    fields += [(f"lam[{i}]", v) for i, v in enumerate(lam)]
-    numbers = []
-    for name, value in fields:
-        if type(value) not in (int, float):
-            raise ValueError(f"state document: {name} is {value!r}, not a JSON number")
-        try:
-            numbers.append(float(value))
-        except OverflowError:
-            raise ValueError(f"state document: {name} is too large for a float") from None
-    state = FamilyState(n, numbers[0], numbers[1], tuple(numbers[2:]))
+    state = FamilyState(doc["n"], doc["lam0_plus"], doc["lam0_minus"], doc["lam"])
     problems = validate(state)
     if problems:
         raise ValueError("invalid state: " + "; ".join(problems))
-    return state
+    # a JSON integer weight is read as the float it names
+    return FamilyState(state.n, float(state.lam0_plus), float(state.lam0_minus),
+                       tuple(map(float, state.lam)))
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -113,13 +102,15 @@ def _load_specification(path: str) -> Specification:
         raise ValueError("specification file needs a bits object")
     mapping = {}
     for key, value in bits.items():
-        if type(value) is not int or value not in (0, 1):
-            raise ValueError(f"bits entry {key!r}: {value!r} is not 0 or 1")
+        # a key is its label's plain decimal text: "03", " 3" or "+3" would pass for 3
         try:
-            mapping[int(key)] = value
+            label = int(key)
         except ValueError:
-            raise ValueError(f"bits entry {key!r} is not a label") from None
-    # from_mapping rejects an n that is not an integer of at least 2
+            label = None
+        if label is None or str(label) != key:
+            raise ValueError(f"bits entry {key!r} is not a label")
+        mapping[label] = value
+    # from_mapping rejects a bad n, shape, label or bit
     return Specification.from_mapping(doc["n"], mapping)
 
 
@@ -145,9 +136,6 @@ def _parse_grouping(n: int, text: str) -> Grouping:
 def _pair_groups(grouping: Grouping, pair: list[int]) -> tuple[frozenset[int], frozenset[int]]:
     """The two groups named by `--pair I J`, which must be parties in different groups."""
     first, second = pair
-    for party in pair:
-        if not 1 <= party <= grouping.n:
-            raise ValueError(f"--pair party {party} is outside 1..{grouping.n}")
     group = grouping.group_of(first)
     if second in group:
         raise ValueError(
@@ -256,12 +244,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.all_groupings:
         if args.assert_ or args.pair:
             raise ValueError("--assert and --pair need a single --grouping")
-        guard = 10 if args.guard is None else _check_size(args.guard, 1, "sweep", "--guard")
-        if state.n > guard:
-            raise ValueError(
-                f"sweeping all groupings of {state.n} parties is a large enumeration; "
-                f"pass --guard {state.n} to confirm"
-            )
+        guard = _SWEEP_GUARD if args.guard is None else args.guard
+        _check_sweep(state.n, guard, "--guard")
         reports = classify_groupings(state, guard=guard, two_groups_only=args.two_groups_only)
         if args.pretty:
             for rep in reports:
@@ -470,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--pair", type=int, nargs=2, metavar=("I", "J"),
                      help="report only the pair of groups holding parties I and J")
     ana.add_argument("--guard", type=int,
-                     help="party-count guard for the sweep (default 10)")
+                     help=f"party-count guard for the sweep (default {_SWEEP_GUARD})")
     ana.add_argument("--assert", action="store_true", dest="assert_",
                      help="exit 1 unless the reported verdicts are all true")
     ana.add_argument("--pretty", action="store_true", help="tables instead of JSON")

@@ -9,11 +9,10 @@ seeded fuzz inputs that keep clear of the indicator boundary.
 """
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterable
 
-from .model import FamilyState, Specification, Splitting, _check_size
+from .model import FamilyState, Specification, Splitting, _check_size, _is_finite, _is_real
 
 _CATALOG = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -31,10 +30,10 @@ def from_specification(
     from the boundary.  A `lam0_minus` so large that the gap rounds
     away raises ValueError instead of returning another pattern.
     """
-    if not 0.0 < margin <= 1.0:
-        raise ValueError(f"margin must lie in (0, 1], got {margin}")
-    if not 0.0 <= lam0_minus < math.inf:
-        raise ValueError(f"lam0_minus must be finite and nonnegative, got {lam0_minus}")
+    if not (_is_real(margin) and 0.0 < margin <= 1.0):
+        raise ValueError(f"margin must lie in (0, 1], got {margin!r}")
+    if not (_is_real(lam0_minus) and _is_finite(lam0_minus) and lam0_minus >= 0.0):
+        raise ValueError(f"lam0_minus must be finite and nonnegative, got {lam0_minus!r}")
     high = 0.5 * (1.0 + margin)
     lam = tuple(0.0 if b else high for b in spec.bits)
     state = FamilyState.from_unnormalized(spec.n, lam0_minus + 1.0, lam0_minus, lam)
@@ -99,6 +98,8 @@ def example_pattern(
         return Specification.from_function(n, lambda m: m.bit_count() in sizes)
 
     if key == "II":
+        if not (isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_real, band))):
+            raise ValueError(f"band must be two real numbers (lo, hi), got {band!r}")
         lo, hi = band
         if not 0.0 <= lo <= hi <= 100.0:
             raise ValueError("band must satisfy 0 <= lo <= hi <= 100")

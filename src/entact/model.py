@@ -13,9 +13,12 @@ arithmetic, the constructors and the dense oracle agree entry for entry.
 
 Each input rule has one home here, and every layer calls it:
 `_check_size` for a party count, `_check_party` for a party number (a
-plain int, never True or 1.0), `_check_party_set`, `_check_order` for a
-relabeling, `_check_label` for a splitting label and `_check_group_masks`
-for a partition into groups.  `FamilyState._indicators` is the one indicator decision.
+plain int, never True or 1.0, and in 1..n when given n),
+`_check_party_set`, `_check_order` for a relabeling, `_check_label` for
+a splitting label, `_check_group_masks` for a partition into groups,
+`_table_size` for the 2^(n-1) - 1 entries of a label table, and
+`_is_real` with `_is_finite` for a weight or any other real parameter.
+`FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 NORMALIZATION_TOL = 1e-12
@@ -58,11 +60,24 @@ def _check_size(n: object, least: int, what: str, name: str = "n") -> int:
     return n
 
 
-def _check_party(p: object) -> int:
-    """A party number must be a plain int; True or 1.0 would pass for party 1."""
+def _check_party(p: object, n: int | None = None) -> int:
+    """A party number must be a plain int, in 1..n when given n; True or 1.0 would pass for 1."""
     if type(p) is not int:
         raise ValueError(f"party {p!r} is not an integer")
+    if n is not None and not 1 <= p <= n:
+        raise ValueError(f"party {p} outside 1..{n}")
     return p
+
+
+def _table_size(n: object, length: int, what: str) -> int:
+    """The 2^(n-1) - 1 entries a label table for n parties needs, checking n first.
+
+    A length L with 2L + 1 below that count is refused by bit lengths alone: a huge n never
+    forms 2^(n-1).
+    """
+    if _check_size(n, 2, what) > (length + 1).bit_length() + 1:
+        raise ValueError(f"a {what} with n={n} needs 2^{n - 1} - 1 entries, got {length}")
+    return (1 << (n - 1)) - 1
 
 
 def _check_label(label: object, n: int, what: str = "label") -> int:
@@ -115,9 +130,7 @@ class Splitting:
 
     def bit(self, party: int) -> int:
         """1 when `party` lies on side B (the side without party n)."""
-        if not 1 <= _check_party(party) <= self.n:
-            raise ValueError(f"party {party} outside 1..{self.n}")
-        if party == self.n:
+        if _check_party(party, self.n) == self.n:
             return 0
         return self.mask >> (party - 1) & 1
 
@@ -156,8 +169,8 @@ class FamilyState:
     lam: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        want = (1 << (_check_size(self.n, 2, "state") - 1)) - 1
         object.__setattr__(self, "lam", tuple(self.lam))
+        want = _table_size(self.n, len(self.lam), "state")
         if len(self.lam) != want:
             raise ValueError(f"coefficient array has length {len(self.lam)}, expected {want}")
 
@@ -247,7 +260,8 @@ def validate(state: FamilyState) -> list[str]:
         problems.append(
             f"lam0_plus < lam0_minus (gap {state.delta}); the corner gap must be nonnegative"
         )
-    total = state.total_weight()
+    # every weight is a finite real by now, so float() cannot overflow; a sum of huge ints could
+    total = float(state.lam0_plus) + float(state.lam0_minus) + 2.0 * sum(map(float, state.lam))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         problems.append(f"total weight {total!r} deviates from 1 by more than {NORMALIZATION_TOL}")
     return problems
@@ -354,11 +368,8 @@ class Grouping:
         return cls(n, tuple(groups))
 
     def group_of(self, party: int) -> frozenset[int]:
-        _check_party(party)
-        for g in self.groups:
-            if party in g:
-                return g
-        raise ValueError(f"party {party} not covered")
+        bit = 1 << (_check_party(party, self.n) - 1)
+        return next(g for m, g in zip(self.masks, self.groups) if m & bit)
 
     def as_lists(self) -> list[list[int]]:
         return [sorted(g) for g in self.groups]
@@ -383,11 +394,12 @@ class Specification:
         # stored as a tuple, as the annotation says: a list would leave the
         # specification unhashable and unequal to the same bits as a tuple
         object.__setattr__(self, "bits", tuple(self.bits))
-        want = _spec_labels(self.n).stop - 1
+        want = _table_size(self.n, len(self.bits), "specification")
         if len(self.bits) != want:
             raise ValueError(f"need {want} bits for n={self.n}, got {len(self.bits)}")
-        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
-            raise ValueError("specification bits must be the integers 0 or 1")
+        for label, b in enumerate(self.bits, 1):
+            if type(b) is not int or b not in (0, 1):
+                raise ValueError(f"specification bit {b!r} of label {label} is not 0 or 1")
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "Specification":
@@ -395,16 +407,13 @@ class Specification:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Specification":
-        labels = _spec_labels(n)
+        labels = range(1, _table_size(n, len(mapping), "specification") + 1)
         # each key is checked before it is looked up: True or 3.0 would pass for a label
         for m in mapping:
             _check_label(m, n)
-        if len(mapping) != labels.stop - 1:
-            # scan labels lazily: a large n must fail fast, not build all 2^(n-1) labels
-            missing = list(islice((m for m in labels if m not in mapping), 8))
-            raise ValueError(
-                f"mapping must cover every label 1..{labels.stop - 1}; missing {missing}"
-            )
+        if len(mapping) != len(labels):
+            missing = [m for m in labels if m not in mapping][:8]
+            raise ValueError(f"mapping must cover every label 1..{len(labels)}; missing {missing}")
         return cls(n, tuple(mapping[m] for m in labels))
 
     @classmethod

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FamilyState, Splitting, _check_party_set
+from .model import FamilyState, Splitting, _check_party_set, _is_finite, _is_real
 
 DENSE_PARTY_CAP = 8
 REPORT_PARTY_CAP = 12
@@ -210,7 +210,7 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
     The matrix is never formed: the diagonal stays put, and only the
     nonzero off-diagonal entries are mapped for each splitting.
     """
-    if type(tol) is bool or not (math.isfinite(tol) and tol >= 0.0):
+    if not (_is_real(tol) and _is_finite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     _check_cap(state.n, REPORT_PARTY_CAP, "agreement report")
     rows, cols, values = _projector_entries(state)

@@ -48,13 +48,11 @@ def amplify(state: FamilyState, m: int) -> FamilyState:
 def _check_measurable(state: FamilyState, party: int) -> None:
     if state.n < 3:
         raise ValueError("measuring a party out needs at least three parties")
-    if _check_party(party) == state.n:
+    if _check_party(party, state.n) == state.n:
         raise ValueError(
             f"party {state.n} anchors the labeling and cannot be measured out; "
             "relabel with permute_parties first"
         )
-    if not 1 <= party < state.n:
-        raise ValueError(f"party {party} outside 1..{state.n}")
 
 
 def _parent_pairs(n: int, party: int) -> list[tuple[int, int]]:

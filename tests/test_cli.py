@@ -130,30 +130,60 @@ def test_construct_from_spec_file(tmp_path, capsys):
         assert not (tmp_path / "s.json").exists()
 
 
+def test_files_whose_n_no_table_reaches_are_refused_by_their_size(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({**state_document(example_state("VI")), "n": 100000}))
+    rc, out, err = run(capsys, "analyze", "--state", str(state), "--grouping", "1|2|3,4")
+    assert (rc, out, err) == (
+        2, "", "error: a state with n=100000 needs 2^99999 - 1 entries, got 7\n"
+    )
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 100000, "bits": {"1": 1, "2": 0, "3": 1}}))
+    rc, out, err = run(capsys, "construct", "--spec", str(spec))
+    assert (rc, out, err) == (
+        2, "", "error: a specification with n=100000 needs 2^99999 - 1 entries, got 3\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["03", " 3", "+3", "3 ", "3.0", "x", "None"])
+def test_spec_keys_are_plain_decimal_labels(tmp_path, capsys, key):
+    # "03" would name label 3 a second time, and the later entry would win
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 3, "bits": {"1": 1, "2": 0, "3": 1, key: 0}}))
+    rc, out, err = run(capsys, "construct", "--spec", str(spec))
+    assert (rc, out, err) == (2, "", f"error: bits entry {key!r} is not a label\n")
+
+
+def test_state_file_of_huge_integer_weights_is_invalid(tmp_path, capsys):
+    # each weight fits a float, their sum does not
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**state_document(example_state("VI")),
+                                "lam0_plus": 10**308, "lam": [10**308] * 7}))
+    rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+    assert rc == 2 and out == "" and err.startswith("error: invalid state: total weight inf"), err
+
+
 def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
     good = state_document(example_state("VI"))
     path = tmp_path / "state.json"
+    # the weights pass the library's validate, whose problems the error lists
     cases = [
-        ("lam0_plus", "1", "lam0_plus"),
-        ("lam0_minus", False, "lam0_minus"),
-        ("lam0_minus", None, "lam0_minus"),
-        ("lam", ["0"] + good["lam"][1:], "lam[0]"),
-        ("lam", good["lam"][:2] + [True] + good["lam"][3:], "lam[2]"),
-        ("lam0_plus", 10**400, "lam0_plus"),
+        ("lam0_plus", "1", "invalid state: lam0_plus is not a real number ('1')"),
+        ("lam0_minus", False, "invalid state: lam0_minus is not a real number (False)"),
+        ("lam0_minus", None, "invalid state: lam0_minus is not a real number (None)"),
+        ("lam", ["0"] + good["lam"][1:], "invalid state: non-real coefficients at labels [1]"),
+        ("lam", good["lam"][:2] + [True] + good["lam"][3:],
+         "invalid state: non-real coefficients at labels [3]"),
+        ("lam0_plus", 10**400, f"invalid state: lam0_plus is not finite ({10**400})"),
+        # JSON true is no integer, though Python's True == 1
+        ("schema", True, "unsupported state schema True"),
+        ("n", True, "a state needs an integer n of at least 2, got n=True"),
+        ("n", 4.0, "a state needs an integer n of at least 2, got n=4.0"),
     ]
-    for field, value, name in cases:
+    for field, value, message in cases:
         path.write_text(json.dumps({**good, field: value}))
         rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
-        assert rc == 2 and out == "" and name in err, (field, value, err)
-    # JSON true is no integer, though Python's True == 1
-    for field, value, message in (
-        ("schema", True, "state schema True"),
-        ("n", True, "n is True, not an integer"),
-        ("n", 4.0, "n is 4.0, not an integer"),
-    ):
-        path.write_text(json.dumps({**good, field: value}))
-        rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
-        assert rc == 2 and out == "" and message in err, (field, value, err)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), (field, value, err)
     path.write_text(json.dumps({**good, "lam0_minus": 0}))  # a JSON integer is a number
     rc, _, _ = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
     assert rc == 0
@@ -284,7 +314,10 @@ def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
         capsys, "analyze", "--state", vi_state_file, "--all-groupings", "--guard", "3"
     )
     assert rc == 2 and out == ""
-    assert "pass --guard 4 to confirm" in err
+    assert err == (
+        "error: sweeping all groupings of 4 parties is a large enumeration; "
+        "pass --guard=4 to confirm\n"
+    )
 
 
 @pytest.mark.parametrize("guard", ["0", "-2"])
@@ -320,7 +353,7 @@ def test_analyze_pair_within_one_group(vi_state_file, capsys):
     "pair, message",
     [
         (("1", "2"), "parties 1 and 2 are in the same group 1,2"),
-        (("1", "9"), "--pair party 9 is outside 1..4"),
+        (("1", "9"), "party 9 outside 1..4"),
     ],
 )
 def test_pair_errors_name_the_fault(vi_state_file, capsys, command, pair, message):
@@ -328,7 +361,7 @@ def test_pair_errors_name_the_fault(vi_state_file, capsys, command, pair, messag
         capsys, command, "--state", vi_state_file, "--grouping", "1,2|3|4", "--pair", *pair,
     )
     assert rc == 2 and out == ""
-    assert f"error: {message}" in err
+    assert err == f"error: {message}\n"
 
 
 def test_protocol_json_success(vi_state_file, capsys):

@@ -1,6 +1,8 @@
 """Constructors: states from specifications, catalog patterns, random sampling."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,27 @@ def test_from_specification_margin_controls_clearance():
     for bad in (-0.2, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lam0_minus must be finite and nonnegative"):
             from_specification(spec, lam0_minus=bad)
+
+
+def test_real_parameters_follow_the_weight_rule():
+    # True would pass for 1, a string would escape as TypeError, and 10**400 overflows a float
+    spec = example_pattern("VI")
+    for margin in (True, "0.5", 10**400):
+        message = rf"^margin must lie in \(0, 1\], got {re.escape(repr(margin))}$"
+        with pytest.raises(ValueError, match=message):
+            from_specification(spec, margin=margin)
+    for lam0_minus in (True, 10**400, "0"):
+        message = rf"^lam0_minus must be finite and nonnegative, got {re.escape(repr(lam0_minus))}$"
+        with pytest.raises(ValueError, match=message):
+            from_specification(spec, lam0_minus=lam0_minus)
+    assert from_specification(spec, margin=1, lam0_minus=0) == from_specification(spec, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("band", [(True, 50), ("a", 50), (10, 20, 30), (10,), 50, "ab"])
+def test_pattern_ii_band_is_two_real_numbers(band):
+    message = rf"^band must be two real numbers \(lo, hi\), got {re.escape(repr(band))}$"
+    with pytest.raises(ValueError, match=message):
+        example_pattern("II", n=10, band=band)
 
 
 def test_from_specification_rejects_a_gap_lost_to_rounding():

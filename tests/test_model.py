@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entact import (
+    NORMALIZATION_TOL,
     FamilyState,
     Grouping,
     Specification,
@@ -177,6 +178,29 @@ def test_state_shape_is_checked_when_built():
     assert hash(state) == hash(FamilyState(3, 0.5, 0.0, (0.0, 0.25, 0.0)))
 
 
+def test_a_table_too_short_for_its_n_is_refused_by_its_size():
+    # the shape rule names n and the length, and never forms 2^(n-1) for a table far too short
+    message = r"^a (state|specification) with n=100000 needs 2\^99999 - 1 entries, got 1$"
+    for build in (lambda: FamilyState(100000, 0.5, 0.0, (0.25,)),
+                  lambda: Specification(100000, (1,)),
+                  lambda: Specification.from_mapping(100000, {1: 1})):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match=r"^a state with n=4 needs 2\^3 - 1 entries, got 2$"):
+        FamilyState(4, 0.5, 0.0, (0.25, 0.0))
+    # a length L with 2L + 1 at least the count keeps the exact message
+    with pytest.raises(ValueError, match=r"^coefficient array has length 3, expected 7$"):
+        FamilyState(4, 0.5, 0.0, (0.25, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^need 7 bits for n=4, got 3$"):
+        Specification(4, (0, 1, 0))
+
+
+def test_validate_sums_huge_integer_weights_as_floats():
+    # each weight is a finite real, but their exact integer sum overflows a float
+    problems = validate(FamilyState(3, 10**308, 0, (10**308,) * 3))
+    assert problems == [f"total weight inf deviates from 1 by more than {NORMALIZATION_TOL}"]
+
+
 def test_validate_reports_problems():
     assert any("negative" in p for p in validate(FamilyState(3, 0.6, 0.0, (-0.1, 0.25, 0.05))))
     assert any("lam0_plus < lam0_minus" in p for p in validate(FamilyState(2, 0.2, 0.4, (0.2,))))
@@ -295,8 +319,9 @@ def test_grouping_rejects_non_integer_party():
     for party in (True, 1.0, "1"):
         with pytest.raises(ValueError, match=rf"^party {re.escape(repr(party))} is not an integer$"):
             Grouping.all_separate(3).group_of(party)
-    with pytest.raises(ValueError, match="^party 4 not covered$"):
-        Grouping.all_separate(3).group_of(4)
+    for party in (0, 4):
+        with pytest.raises(ValueError, match=rf"^party {party} outside 1\.\.3$"):
+            Grouping.all_separate(3).group_of(party)
 
 
 def test_impostor_next_to_its_integer_is_rejected_not_deduplicated():
@@ -371,9 +396,13 @@ def test_specification_validation():
             Specification(n, ())
         with pytest.raises(ValueError, match=f"n={n!r}"):
             Specification.from_mapping(n, {})
-    # a large n fails on the missing labels without listing all 2^99 of them
-    with pytest.raises(ValueError, match=r"missing \[1, 2, 3, 4, 5, 6, 7, 8\]"):
+    # a large n fails on the mapping's size alone, without forming 2^99
+    message = r"^a specification with n=100 needs 2\^99 - 1 entries, got 0$"
+    with pytest.raises(ValueError, match=message):
         Specification.from_mapping(100, {})
+    message = r"^mapping must cover every label 1\.\.7; missing \[2, 5, 6, 7\]$"
+    with pytest.raises(ValueError, match=message):
+        Specification.from_mapping(4, {1: 1, 3: 0, 4: 1})
     spec = Specification.from_mapping(3, {1: 1, 2: 0, 3: 1})
     assert spec.bits == (1, 0, 1)
     # every key is a label: True and 3.0 would pass for labels 1 and 3
@@ -391,8 +420,12 @@ def test_specification_validation():
     assert Specification.constant(3, 0).bits == (0, 0, 0)
     # the 0/1 rule sees the bit as given: 0.7 is not 0 and "1" or True is not 1
     for bit in (0.7, "1", True, 2):
-        with pytest.raises(ValueError, match="^specification bits must be the integers 0 or 1$"):
+        message = rf"^specification bit {re.escape(repr(bit))} of label 1 is not 0 or 1$"
+        with pytest.raises(ValueError, match=message):
             Specification.constant(3, bit)
+    # the error names the first bad label
+    with pytest.raises(ValueError, match=r"^specification bit 2 of label 2 is not 0 or 1$"):
+        Specification(3, (1, 2, -1))
 
 
 def test_specification_stores_its_bits_as_a_tuple():

@@ -423,3 +423,11 @@ def test_oracle_party_arguments_must_be_integers():
         permute_dense(mat, (True, 2, 3))
     with pytest.raises(ValueError, match="tolerance"):
         ppt_agreement_report(random_family_state(3, seed=1), tol=True)
+
+
+@pytest.mark.parametrize("tol", ["1e-10", 10**400, True, -1e-10, float("nan"), float("inf")],
+                         ids=["text", "huge-int", "bool", "negative", "nan", "inf"])
+def test_agreement_tolerance_follows_the_weight_rule(tol):
+    message = rf"^tolerance must be finite and nonnegative, got {re.escape(repr(tol))}$"
+    with pytest.raises(ValueError, match=message):
+        ppt_agreement_report(random_family_state(3, seed=1), tol=tol)

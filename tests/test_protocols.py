@@ -101,6 +101,17 @@ def test_measure_out_guards():
         measure_out_party(random_family_state(2, seed=1), 1)
 
 
+def test_every_party_range_reads_one_message():
+    # Splitting.bit, Grouping.group_of and the measuring moves share one range rule
+    state = random_family_state(4, 1)
+    calls = (Splitting(4, 5).bit, Grouping.all_separate(4).group_of,
+             lambda p: measure_out_party(state, p), lambda p: required_amplification(state, p))
+    for call in calls:
+        for party in (0, 5, -1):
+            with pytest.raises(ValueError, match=rf"^party {party} outside 1\.\.4$"):
+                call(party)
+
+
 def test_protocol_moves_reject_non_integer_party():
     # True and 1.0 would pass for party 1 in a range test
     state = random_family_state(4, 1)
