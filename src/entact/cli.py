@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import accumulate
 from typing import Any, Iterable
 
@@ -29,6 +30,7 @@ from .analysis import (
     _SWEEP_GUARD,
     BUILTIN_REQUIREMENTS,
     GroupingReport,
+    PairVerdict,
     _check_sweep,
     classify_groupings,
     grouping_report,
@@ -77,10 +79,10 @@ def _read_json(path: str, what: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {what} file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, or a number past the digit limit
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def load_state(path: str) -> FamilyState:
@@ -148,23 +150,42 @@ def _splitting_fields(split) -> dict[str, Any]:
     return {"mask": split.mask, "splitting": str(split)}
 
 
-def _pair_fields(pv) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "c": sorted(pv.c),
-        "d": sorted(pv.d),
-        "distillable": pv.distillable,
-    }
-    doc["witness"] = _splitting_fields(pv.witness) if pv.witness else None
-    return doc
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _report_fields(rep: GroupingReport) -> dict[str, Any]:
-    return {
-        "grouping": rep.grouping.as_lists(),
-        "pairs": [_pair_fields(pv) for pv in rep.pairs],
-        "ghz": [sorted(g) for g in rep.ghz],
-        "any_distillable": rep.any_distillable,
-    }
+class _VerdictText:
+    """JSON text of pair verdicts and grouping reports, the bytes json.dumps gives their fields.
+
+    Each group's party list and each witness is encoded once per command
+    and kept, keyed by the group and by the witness label; a verdict's
+    text is joined from those fragments.  Over n parties there are at
+    most 2^n - 1 groups and 2^(n-1) - 1 witnesses, so neither table needs
+    a bound.
+    """
+
+    def __init__(self) -> None:
+        self._group = cache(lambda group: json.dumps(sorted(group)))
+        self._witnesses: dict[int, str] = {}
+
+    def _group_list(self, groups: Iterable[frozenset[int]]) -> str:
+        return "[" + ", ".join(map(self._group, groups)) + "]"
+
+    def pair(self, pv: PairVerdict) -> str:
+        split = pv.witness
+        if split is None:
+            witness = "null"
+        else:
+            witness = self._witnesses.get(split.mask)
+            if witness is None:
+                witness = self._witnesses[split.mask] = json.dumps(_splitting_fields(split))
+        return (f'{{"c": {self._group(pv.c)}, "d": {self._group(pv.d)}, '
+                f'"distillable": {_JSON_BOOL[pv.distillable]}, "witness": {witness}}}')
+
+    def report(self, rep: GroupingReport) -> str:
+        pairs = ", ".join(map(self.pair, rep.pairs))
+        return (f'{{"grouping": {self._group_list(rep.grouping.groups)}, "pairs": [{pairs}], '
+                f'"ghz": {self._group_list(rep.ghz)}, '
+                f'"any_distillable": {_JSON_BOOL[rep.any_distillable]}}}')
 
 
 def _emit(doc: dict[str, Any]) -> None:
@@ -172,13 +193,18 @@ def _emit(doc: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
-def _emit_stream(head: dict[str, Any], key: str, items: Iterable[Any]) -> None:
-    """Write the bytes of _emit(head | {key: list(items)}), one item at a time."""
+def _emit_with(head: dict[str, Any], text: str) -> None:
+    """Write the bytes of _emit(head | fields), given the JSON text of the fields' object."""
+    sys.stdout.write(json.dumps(head)[:-1] + ", " + text[1:] + "\n")
+
+
+def _emit_stream(head: dict[str, Any], key: str, texts: Iterable[str]) -> None:
+    """Write the bytes of _emit(head | {key: items}), given each item's JSON text in turn."""
     out = sys.stdout
     out.write(json.dumps(head)[:-1] + f", {json.dumps(key)}: [")
     sep = ""
-    for item in items:
-        out.write(sep + json.dumps(item))
+    for text in texts:
+        out.write(sep + text)
         sep = ", "
     out.write("]}\n")
 
@@ -248,9 +274,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _check_sweep(state.n, guard, "--guard")
         reports = classify_groupings(state, guard=guard, two_groups_only=args.two_groups_only)
         if args.pretty:
+            # each group's text once per sweep, not once per pair
+            party_text = cache(_party_text)
             for rep in reports:
                 flags = " ".join(
-                    f"({_party_text(pv.c)})x({_party_text(pv.d)})"
+                    f"({party_text(pv.c)})x({party_text(pv.d)})"
                     f"={'yes' if pv.distillable else 'no'}"
                     for pv in rep.pairs
                 )
@@ -258,7 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             count = _partition_count(state.n, args.two_groups_only)
             _emit_stream({"schema": STATE_SCHEMA, "kind": "grouping-sweep", "n": state.n,
-                          "count": count}, "reports", map(_report_fields, reports))
+                          "count": count}, "reports", map(_VerdictText().report, reports))
         return 0
 
     if args.two_groups_only or args.guard is not None:
@@ -272,10 +300,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             word = "distillable" if pv.distillable else "not distillable"
             print(f"pair ({_party_text(pv.c)}) x ({_party_text(pv.d)}): {word}{wit}")
         else:
-            doc = {"schema": STATE_SCHEMA, "kind": "pair-verdict", "n": state.n,
-                   "grouping": grouping.as_lists()}
-            doc.update(_pair_fields(pv))
-            _emit(doc)
+            _emit_with({"schema": STATE_SCHEMA, "kind": "pair-verdict", "n": state.n,
+                        "grouping": grouping.as_lists()}, _VerdictText().pair(pv))
         return 0 if (pv.distillable or not args.assert_) else 1
 
     if args.pretty:
@@ -286,9 +312,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"  ({_party_text(pv.c)}) x ({_party_text(pv.d)})  {word}{wit}")
         print("  ghz clique: " + " ".join(f"({_party_text(g)})" for g in rep.ghz))
     else:
-        doc = {"schema": STATE_SCHEMA, "kind": "grouping-report", "n": state.n}
-        doc.update(_report_fields(rep))
-        _emit(doc)
+        _emit_with({"schema": STATE_SCHEMA, "kind": "grouping-report", "n": state.n},
+                   _VerdictText().report(rep))
     if args.assert_ and not all(pv.distillable for pv in rep.pairs):
         return 1
     return 0

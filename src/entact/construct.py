@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .model import FamilyState, Specification, Splitting, _check_size, _is_finite, _is_real
+from .model import (FamilyState, Specification, Splitting, _build_labels, _check_size, _is_finite,
+                    _is_real)
 
 _CATALOG = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -157,13 +158,13 @@ def random_family_state(n: int, seed: int) -> FamilyState:
     0.45) or well above it (ratio 1.1 to 1.55), so comparisons against
     the dense route never hinge on ties.  Same seed, same state.
     """
-    _check_size(n, 2, "random state")
+    labels = _build_labels(n, "random state")
     rng = random.Random(seed)
     lam0_minus = rng.uniform(0.0, 0.3)
     gap = rng.uniform(0.5, 1.0)
     half = 0.5 * gap
     lam = []
-    for _ in range(1, 1 << (n - 1)):
+    for _ in labels:
         below = rng.random() < 0.5
         ratio = rng.uniform(0.0, 0.45) if below else rng.uniform(1.1, 1.55)
         lam.append(ratio * half)

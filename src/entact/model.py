@@ -16,8 +16,10 @@ Each input rule has one home here, and every layer calls it:
 plain int, never True or 1.0, and in 1..n when given n),
 `_check_party_set`, `_check_order` for a relabeling, `_check_label` for
 a splitting label, `_check_group_masks` for a partition into groups,
-`_table_size` for the 2^(n-1) - 1 entries of a label table, and
-`_is_real` with `_is_finite` for a weight or any other real parameter.
+`_table_size` for the 2^(n-1) - 1 entries of a label table,
+`_build_labels` for a constructor that walks them (n up to
+BUILD_PARTY_CAP), and `_is_real` with `_is_finite` for a weight or any
+other real parameter.
 `FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
@@ -29,6 +31,9 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 NORMALIZATION_TOL = 1e-12
+
+# the largest party count whose 2^(n-1) - 1 labels a constructor walks one by one
+BUILD_PARTY_CAP = 20
 
 
 def party_bitmask(parties: Iterable[int]) -> int:
@@ -69,6 +74,19 @@ def _check_party(p: object, n: int | None = None) -> int:
     return p
 
 
+def _number_text(value: object) -> str:
+    """A number as an error shows it; an int past the interpreter's digit limit by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{type(value).__name__} of {int(value).bit_length()} bits>"
+
+
+def _largest_label(n: int) -> str:
+    """2^(n-1) - 1 as an error prints it: in digits up to n = 64, beyond that as a power."""
+    return str((1 << (n - 1)) - 1) if n <= 64 else f"(2^{n - 1} - 1)"
+
+
 def _table_size(n: object, length: int, what: str) -> int:
     """The 2^(n-1) - 1 entries a label table for n parties needs, checking n first.
 
@@ -81,11 +99,16 @@ def _table_size(n: object, length: int, what: str) -> int:
 
 
 def _check_label(label: object, n: int, what: str = "label") -> int:
-    """A splitting label must be a plain int in [1, 2^(n-1) - 1]; True would pass for label 1."""
+    """A splitting label must be a plain int in [1, 2^(n-1) - 1]; True would pass for label 1.
+
+    Neither the test nor the error forms 2^(n-1) for a huge n.
+    """
     if type(label) is not int:
         raise ValueError(f"{what} {label!r} is not an integer")
-    if not 0 < label < 1 << (n - 1):
-        raise ValueError(f"{what} {label} outside [1, {(1 << (n - 1)) - 1}] for n={n}")
+    if label <= 0 or label.bit_length() >= n:
+        raise ValueError(
+            f"{what} {_number_text(label)} outside [1, {_largest_label(n)}] for n={n}"
+        )
     return label
 
 
@@ -241,7 +264,7 @@ def validate(state: FamilyState) -> list[str]:
         if not _is_real(value):
             problems.append(f"{name} is not a real number ({value!r})")
         elif not _is_finite(value):
-            problems.append(f"{name} is not finite ({value})")
+            problems.append(f"{name} is not finite ({_number_text(value)})")
     nonreal = [i + 1 for i, v in enumerate(state.lam) if not _is_real(v)]
     if nonreal:
         problems.append(f"non-real coefficients at labels {nonreal[:8]}")
@@ -378,9 +401,12 @@ class Grouping:
         return "|".join(map(_party_text, self.groups))
 
 
-def _spec_labels(n: int) -> range:
-    """Labels 1..2^(n-1)-1 of an n-party specification; rejects a bad n."""
-    return range(1, 1 << (_check_size(n, 2, "specification") - 1))
+def _build_labels(n: int, what: str) -> range:
+    """Labels 1..2^(n-1)-1 for a constructor to walk; rejects a bad n and n > BUILD_PARTY_CAP."""
+    if _check_size(n, 2, what) > BUILD_PARTY_CAP:
+        raise ValueError(f"a {what} with n={n} walks 2^{n - 1} - 1 labels; "
+                         f"construction caps at n={BUILD_PARTY_CAP}")
+    return range(1, 1 << (n - 1))
 
 
 @dataclass(frozen=True)
@@ -403,7 +429,7 @@ class Specification:
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "Specification":
-        return cls(n, tuple(1 if fn(m) else 0 for m in _spec_labels(n)))
+        return cls(n, tuple(1 if fn(m) else 0 for m in _build_labels(n, "specification")))
 
     @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Specification":
@@ -418,16 +444,20 @@ class Specification:
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "Specification":
-        return cls(n, tuple(bit for _ in _spec_labels(n)))
+        return cls(n, tuple(bit for _ in _build_labels(n, "specification")))
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "Specification":
         """The specification whose bit for label m is bit m - 1 of `value`."""
-        labels = _spec_labels(n).stop - 1
+        _check_size(n, 2, "specification")
         if type(value) is not int:
             raise ValueError(f"specification value {value!r} is not an integer")
-        if value < 0 or value >> labels:
-            raise ValueError(f"specification value {value} outside [0, 2^{labels}) for n={n}")
+        # the sign first: a negative value is refused before the cap on n
+        if value < 0 or value >> len(_build_labels(n, "specification")):
+            raise ValueError(
+                f"specification value {_number_text(value)} outside [0, 2^{_largest_label(n)}) "
+                f"for n={n}"
+            )
         return cls.from_function(n, lambda m: value >> (m - 1) & 1)
 
     def value(self, label: int) -> int:

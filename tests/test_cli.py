@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from entact import classify_groupings, example_state, random_family_state
+from entact import (Grouping, classify_groupings, example_state, grouping_report,
+                    random_family_state)
 from entact.cli import load_state, main, save_state, state_document, state_from_document
 
 
@@ -163,6 +164,22 @@ def test_state_file_of_huge_integer_weights_is_invalid(tmp_path, capsys):
     assert rc == 2 and out == "" and err.startswith("error: invalid state: total weight inf"), err
 
 
+def test_state_file_of_a_number_too_long_to_read_names_the_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    text = json.dumps({**state_document(example_state("VI")), "lam0_plus": 0})
+    path.write_text(text.replace('"lam0_plus": 0', '"lam0_plus": 1' + "0" * 4999))
+    rc, out, err = run(capsys, "analyze", "--state", str(path), "--grouping", "1|2|3,4")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot read state file {path}: "), err
+
+
+@pytest.mark.parametrize("source", [["--random"], ["--example", "V"]])
+def test_construct_refuses_a_party_count_past_the_cap(capsys, source):
+    rc, out, err = run(capsys, "construct", *source, "--n", "40")
+    assert rc == 2 and out == ""
+    assert err.endswith(" with n=40 walks 2^39 - 1 labels; construction caps at n=20\n"), err
+
+
 def test_state_file_entries_must_be_json_numbers(tmp_path, capsys):
     good = state_document(example_state("VI"))
     path = tmp_path / "state.json"
@@ -264,24 +281,31 @@ def test_analyze_grouping_report(vi_state_file, capsys):
     assert rc == 1
 
 
+def _pair_reference(pv):
+    """One pair verdict as JSON fields, built from the library."""
+    return {
+        "c": sorted(pv.c),
+        "d": sorted(pv.d),
+        "distillable": pv.distillable,
+        "witness": None if pv.witness is None
+        else {"mask": pv.witness.mask, "splitting": str(pv.witness)},
+    }
+
+
+def _report_reference(rep):
+    """One grouping report as JSON fields, built from the library."""
+    return {
+        "grouping": rep.grouping.as_lists(),
+        "pairs": [_pair_reference(pv) for pv in rep.pairs],
+        "ghz": [sorted(g) for g in rep.ghz],
+        "any_distillable": rep.any_distillable,
+    }
+
+
 def _sweep_document(state, two_groups_only):
     """The sweep document built from the library, field by field."""
     reports = [
-        {
-            "grouping": rep.grouping.as_lists(),
-            "pairs": [
-                {
-                    "c": sorted(pv.c),
-                    "d": sorted(pv.d),
-                    "distillable": pv.distillable,
-                    "witness": None if pv.witness is None
-                    else {"mask": pv.witness.mask, "splitting": str(pv.witness)},
-                }
-                for pv in rep.pairs
-            ],
-            "ghz": [sorted(g) for g in rep.ghz],
-            "any_distillable": rep.any_distillable,
-        }
+        _report_reference(rep)
         for rep in classify_groupings(state, two_groups_only=two_groups_only)
     ]
     return {"schema": 1, "kind": "grouping-sweep", "n": state.n,
@@ -318,6 +342,72 @@ def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
         "error: sweeping all groupings of 4 parties is a large enumeration; "
         "pass --guard=4 to confirm\n"
     )
+
+
+def _reference_states():
+    yield "VI", example_state("VI")
+    yield "VII", example_state("VII")
+    for n in range(2, 9):
+        yield f"random-{n}", random_family_state(n, seed=10 + n)
+
+
+@pytest.mark.parametrize("name, state", list(_reference_states()))
+@pytest.mark.parametrize("flags", [[], ["--two-groups-only"]])
+def test_sweep_bytes_match_the_library(tmp_path, capsys, name, state, flags):
+    path = str(tmp_path / f"{name}.json")
+    save_state(state, path)
+    rc, out, err = run(capsys, "analyze", "--state", path, "--all-groupings", *flags)
+    want = _sweep_document(load_state(path), two_groups_only=bool(flags))
+    assert (rc, err) == (0, "") and out == json.dumps(want) + "\n"
+
+
+def _pretty_sweep_reference(state):
+    """The --pretty sweep built line by line from the library."""
+    lines = []
+    for rep in classify_groupings(state):
+        flags = []
+        for pv in rep.pairs:
+            c = ",".join(str(p) for p in sorted(pv.c))
+            d = ",".join(str(p) for p in sorted(pv.d))
+            flags.append(f"({c})x({d})=" + ("yes" if pv.distillable else "no"))
+        lines.append(str(rep.grouping).ljust(24) + " " + " ".join(flags) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name, state", [("VI", example_state("VI")),
+                                         ("random-6", random_family_state(6, seed=2))])
+def test_pretty_sweep_lines_match_the_library(tmp_path, capsys, name, state):
+    path = str(tmp_path / f"{name}.json")
+    save_state(state, path)
+    rc, out, err = run(capsys, "analyze", "--state", path, "--all-groupings", "--pretty")
+    assert (rc, err) == (0, "") and out == _pretty_sweep_reference(load_state(path))
+
+
+_SINGLE_CASES = [
+    ("VI", example_state("VI"), ["1|2|3,4", "1,3|2|4", "1|2|3|4", "1,2,3,4"]),
+    ("random-6", random_family_state(6, seed=2),
+     ["1|2|3|4|5|6", "1,2|3,4|5,6", "1,4|2|3,5,6", "1,2,3|4,5,6", "1,2,3,4,5,6"]),
+]
+
+
+@pytest.mark.parametrize("name, state, specs", _SINGLE_CASES)
+def test_grouping_report_and_pair_bytes_match_the_library(tmp_path, capsys, name, state, specs):
+    path = str(tmp_path / f"{name}.json")
+    save_state(state, path)
+    state = load_state(path)
+    for spec in specs:
+        grouping = Grouping.from_sets(state.n, [map(int, g.split(",")) for g in spec.split("|")])
+        rep = grouping_report(state, grouping)
+        rc, out, err = run(capsys, "analyze", "--state", path, "--grouping", spec)
+        want = {"schema": 1, "kind": "grouping-report", "n": state.n, **_report_reference(rep)}
+        assert (rc, err) == (0, "") and out == json.dumps(want) + "\n"
+        for pv in rep.pairs:
+            first, second = min(pv.c), min(pv.d)
+            rc, out, err = run(capsys, "analyze", "--state", path, "--grouping", spec,
+                               "--pair", str(first), str(second))
+            want = {"schema": 1, "kind": "pair-verdict", "n": state.n,
+                    "grouping": grouping.as_lists(), **_pair_reference(pv)}
+            assert (rc, err) == (0, "") and out == json.dumps(want) + "\n"
 
 
 @pytest.mark.parametrize("guard", ["0", "-2"])

@@ -17,6 +17,7 @@ from entact import (
     random_family_state,
     validate,
 )
+from entact.model import BUILD_PARTY_CAP
 
 
 @settings(max_examples=40)
@@ -172,3 +173,20 @@ def test_random_states_are_valid_and_clear_of_boundary(n, seed):
 def test_random_state_is_deterministic():
     assert random_family_state(4, seed=7) == random_family_state(4, seed=7)
     assert random_family_state(4, seed=7) != random_family_state(4, seed=8)
+
+
+def test_constructors_refuse_a_party_count_past_the_cap_before_walking_labels():
+    # n = 40 has 2^39 - 1 labels: a walk would never end, so the refusal comes first
+    assert BUILD_PARTY_CAP >= 16
+    builds = [
+        ("random state", lambda: random_family_state(40, seed=1)),
+        ("specification", lambda: example_state("V", 40)),
+        ("specification", lambda: Specification.constant(40, 0)),
+        ("specification", lambda: Specification.from_function(40, lambda m: 1)),
+        ("specification", lambda: Specification.from_int(40, 5)),
+    ]
+    for what, build in builds:
+        message = rf"^a {what} with n=40 walks 2\^39 - 1 labels; construction caps at n={BUILD_PARTY_CAP}$"
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert len(example_pattern("V", 16).bits) == (1 << 15) - 1

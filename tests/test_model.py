@@ -201,6 +201,13 @@ def test_validate_sums_huge_integer_weights_as_floats():
     assert problems == [f"total weight inf deviates from 1 by more than {NORMALIZATION_TOL}"]
 
 
+def test_validate_names_a_weight_too_long_to_print_by_its_size():
+    # 10**5000 has more digits than the interpreter prints
+    assert validate(FamilyState(2, 10**5000, 0, (0,))) == [
+        "lam0_plus is not finite (<int of 16610 bits>)"
+    ]
+
+
 def test_validate_reports_problems():
     assert any("negative" in p for p in validate(FamilyState(3, 0.6, 0.0, (-0.1, 0.25, 0.05))))
     assert any("lam0_plus < lam0_minus" in p for p in validate(FamilyState(2, 0.2, 0.4, (0.2,))))
@@ -456,3 +463,17 @@ def test_every_label_argument_applies_one_label_rule():
             Specification.from_int(3, value)
     assert Specification.from_int(3, 0).bits == (0, 0, 0)
     assert Specification.from_int(3, 7).bits == (1, 1, 1)
+
+
+def test_label_errors_of_a_huge_n_state_the_bound_as_a_power():
+    with pytest.raises(ValueError,
+                       match=r"^splitting label 0 outside \[1, \(2\^99999 - 1\)\] for n=100000$"):
+        Splitting(100000, 0)
+    with pytest.raises(ValueError, match=r"^splitting label <int of 16610 bits> outside \[1, 3\] for n=3$"):
+        Splitting(3, 10**5000)
+
+
+def test_value_errors_of_a_huge_n_state_the_bound_as_a_power():
+    message = r"^specification value -1 outside \[0, 2\^\(2\^99999 - 1\)\) for n=100000$"
+    with pytest.raises(ValueError, match=message):
+        Specification.from_int(100000, -1)
