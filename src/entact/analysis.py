@@ -268,11 +268,12 @@ def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[G
     In restricted-growth order.  Walks the partitions of parties
     1..n-1, the heads; party n is the last digit of the order, so each
     head's completions follow it: party n joins group 0..m-1, then
-    stands alone.  A head's union table, built with party n alone,
-    serves all m + 1 completions.  Its unions are those of the groups
-    lacking party n; when party n joins group i, the grouping's own
-    unions are those without group i, and masking keeps their label
-    order, so every lowest label is the same.
+    stands alone as group m.  A head's union table, built with party n
+    alone, serves all m + 1 completions.  Its unions are those of the
+    groups lacking party n, and no union holds group m; when party n
+    joins group i, the grouping's own unions are those without group i,
+    and masking keeps their label order, so every lowest label is the
+    same.  Group i's signature is then 0 in every placement.
     """
     n = state.n
     last = 1 << (n - 1)
@@ -281,20 +282,17 @@ def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[G
     memo: _Memo = ({0: None}, {})
     for head in heads:
         m = len(head)
-        unions, inside = _union_table(head + (last,))
+        placed = head + (last,)  # party n alone, as group m
+        unions, inside = _union_table(placed)
         zero = _zero_unions(indicator, unions)
         for i in range(m + 1):
-            # joining group i keeps m groups; standing alone makes m + 1
-            if blocks is not None and blocks != (m if i < m else m + 1):
+            # joining group i keeps m groups; standing alone, as group m, makes m + 1
+            k = m if i < m else m + 1
+            if blocks is not None and blocks != k:
                 continue
-            if i < m:
-                keep = zero & ~inside[i]
-                sig = [keep & s for s in inside[:m]]
-                sig[i] = 0
-                masks = head[:i] + (head[i] | last,) + head[i + 1:]
-            else:
-                sig = [zero & s for s in inside]
-                masks = head + (last,)
+            keep = zero & ~inside[i]
+            sig = [keep & s for s in inside[:k]]
+            masks = placed[:i] + (placed[i] | last,) + placed[i + 1:k]
             if len(memo[1]) >= _MEMO_CAP:
                 memo = ({0: None}, {})
             yield _report(Grouping.from_masks(n, masks), unions, sig, memo)

@@ -36,7 +36,7 @@ from .analysis import (
     grouping_report,
     search_specifications,
 )
-from .construct import example_state, from_specification, random_family_state
+from .construct import example_pattern, from_specification, random_family_state
 from .model import FamilyState, Grouping, Specification, Splitting, _party_text, validate
 from .protocols import PipelineTrace, distill_pipeline
 
@@ -234,27 +234,20 @@ def _print_state_pretty(state: FamilyState) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.example is not None:
-        band = tuple(args.band) if args.band is not None else None
-        group = None
-        if args.group is not None:
-            group = _parse_parties(args.group, f"--group {args.group!r}")
-        state = example_state(
-            args.example,
-            args.n,
-            j=args.j,
-            band=band,
-            group=group,
-            margin=args.margin,
-            lam0_minus=args.lam0_minus,
-        )
-    elif args.spec is not None:
-        spec = _load_specification(args.spec)
-        state = from_specification(spec, margin=args.margin, lam0_minus=args.lam0_minus)
-    else:
+    if args.random:
         if args.n is None:
             raise ValueError("--random needs --n")
         state = random_family_state(args.n, args.seed)
+    else:
+        if args.example is not None:
+            band = tuple(args.band) if args.band is not None else None
+            group = None
+            if args.group is not None:
+                group = _parse_parties(args.group, f"--group {args.group!r}")
+            pattern = example_pattern(args.example, args.n, j=args.j, band=band, group=group)
+        else:
+            pattern = _load_specification(args.spec)
+        state = from_specification(pattern, margin=args.margin, lam0_minus=args.lam0_minus)
     if args.output:
         save_state(state, args.output)
         return 0

@@ -15,7 +15,9 @@ from typing import Iterable
 from .model import (FamilyState, Specification, Splitting, _build_labels, _check_size, _is_finite,
                     _is_real)
 
-_CATALOG = ("I", "II", "III", "IV", "V", "VI", "VII")
+# each pattern's parameters, and its party count when the pattern fixes one
+_CATALOG = {"I": ({"j"}, None), "II": ({"band"}, None), "III": ({"group"}, None),
+            "IV": ({"j"}, None), "V": (set(), None), "VI": (set(), 4), "VII": (set(), 5)}
 
 
 def from_specification(
@@ -67,73 +69,63 @@ def example_pattern(
          party 2, or the pair {1,2} are distillable
     VII  fixed five-party pattern: every splitting separating parties 1
          and 2 is distillable except the one that sides 1 with 3
+
+    I, II, IV and V are side-size rules: a label distills by the size of
+    its side B alone.  III, VI and VII are label sets.
     """
     key = example.strip().upper()
     if key not in _CATALOG:
         raise ValueError(f"unknown pattern {example!r}; choose from {', '.join(_CATALOG)}")
+    needs, fixed = _CATALOG[key]
     given = {name for name, present in
              (("j", j is not None), ("band", band is not None), ("group", group is not None))
              if present}
-    needs = {"I": {"j"}, "II": {"band"}, "III": {"group"}, "IV": {"j"},
-             "V": set(), "VI": set(), "VII": set()}[key]
     if given - needs:
         raise ValueError(f"pattern {key} does not take {', '.join(sorted(given - needs))}")
     if needs - given:
         raise ValueError(f"pattern {key} needs {', '.join(sorted(needs - given))}")
-    fixed = {"VI": 4, "VII": 5}
-    if key in fixed:
-        if n is not None and n != fixed[key]:
-            raise ValueError(f"pattern {key} is defined for n={fixed[key]}")
-        n = fixed[key]
+    if fixed is not None:
+        if n is not None and n != fixed:
+            raise ValueError(f"pattern {key} is defined for n={fixed}")
+        n = fixed
     elif n is None:
         raise ValueError(f"pattern {key} needs n")
     _check_size(n, 2, "pattern")
 
     if j is not None:
         _check_size(j, 1, "pattern", "j")
-
-    if key == "I":
-        if not 1 <= j <= n - 1:
-            raise ValueError(f"j must lie in [1, {n - 1}] for n={n}")
-        sizes = {j, n - j}
-        return Specification.from_function(n, lambda m: m.bit_count() in sizes)
-
-    if key == "II":
-        if not (isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_real, band))):
-            raise ValueError(f"band must be two real numbers (lo, hi), got {band!r}")
-        lo, hi = band
-        if not 0.0 <= lo <= hi <= 100.0:
-            raise ValueError("band must satisfy 0 <= lo <= hi <= 100")
-        # compare percentages via lo*n <= 100*p <= hi*n; the epsilon keeps
-        # integer band edges exact despite float percentages
-        return Specification.from_function(
-            n, lambda m: lo * n - 1e-9 <= 100.0 * m.bit_count() <= hi * n + 1e-9
-        )
+        top = n - 1 if key == "I" else n // 2
+        if not 1 <= j <= top:
+            raise ValueError(f"j must lie in [1, {top}] for n={n}")
 
     if key == "III":
-        target = Splitting.from_side(n, group).mask
-        return Specification.from_function(n, lambda m: m == target)
-
-    if key == "IV":
-        if not 1 <= j <= n // 2:
-            raise ValueError(f"j must lie in [1, {n // 2}] for n={n}")
-        return Specification.from_function(
-            n, lambda m: min(m.bit_count(), n - m.bit_count()) >= j
-        )
-
-    if key == "V":
-        return Specification.from_function(n, lambda m: m.bit_count() in (1, n - 1))
-
-    if key == "VI":
-        ones = {Splitting.from_side(4, side).mask for side in ({1}, {2}, {1, 2})}
-        return Specification.from_function(4, lambda m: m in ones)
-
-    # VII: distillable exactly on the splittings separating 1 from 2,
-    # minus the single splitting whose side is {1, 3}
-    spared = Splitting.from_side(5, {1, 3}).mask
-    return Specification.from_function(
-        5, lambda m: (m & 1) != (m >> 1 & 1) and m != spared
-    )
+        labels = {Splitting.from_side(n, group).mask}
+    elif key == "VI":
+        labels = {Splitting.from_side(4, side).mask for side in ({1}, {2}, {1, 2})}
+    elif key == "VII":
+        # the splittings separating 1 from 2, minus the one whose side is {1, 3}
+        labels = ({m for m in range(1, 16) if (m & 1) != (m >> 1 & 1)}
+                  - {Splitting.from_side(5, {1, 3}).mask})
+    else:
+        # a rule on the size k of side B
+        if key == "I":
+            distills = lambda k: k in (j, n - j)
+        elif key == "IV":
+            distills = lambda k: j <= k <= n - j
+        elif key == "V":
+            distills = lambda k: k in (1, n - 1)
+        else:
+            if not (isinstance(band, (tuple, list)) and len(band) == 2
+                    and all(map(_is_real, band))):
+                raise ValueError(f"band must be two real numbers (lo, hi), got {band!r}")
+            lo, hi = band
+            if not 0.0 <= lo <= hi <= 100.0:
+                raise ValueError("band must satisfy 0 <= lo <= hi <= 100")
+            # compare percentages via lo*n <= 100*k <= hi*n; the epsilon keeps
+            # integer band edges exact despite float percentages
+            distills = lambda k: lo * n - 1e-9 <= 100.0 * k <= hi * n + 1e-9
+        return Specification.from_function(n, lambda m: distills(m.bit_count()))
+    return Specification.from_function(n, labels.__contains__)
 
 
 def example_state(

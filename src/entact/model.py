@@ -12,14 +12,16 @@ Keeping the two conventions identical is what lets the indicator
 arithmetic, the constructors and the dense oracle agree entry for entry.
 
 Each input rule has one home here, and every layer calls it:
-`_check_size` for a party count, `_check_party` for a party number (a
+`_check_size` for a party count (`_check_grouping_size` for a grouping's,
+up to GROUPING_PARTY_CAP), `_check_party` for a party number (a
 plain int, never True or 1.0, and in 1..n when given n),
 `_check_party_set`, `_check_order` for a relabeling, `_check_label` for
 a splitting label, `_check_group_masks` for a partition into groups,
 `_table_size` for the 2^(n-1) - 1 entries of a label table,
 `_build_labels` for a constructor that walks them (n up to
 BUILD_PARTY_CAP), and `_is_real` with `_is_finite` for a weight or any
-other real parameter.
+other real parameter.  Errors show a party count through `_number_text`,
+so an n past the interpreter's digit limit is named by its size.
 `FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
@@ -34,6 +36,10 @@ NORMALIZATION_TOL = 1e-12
 
 # the largest party count whose 2^(n-1) - 1 labels a constructor walks one by one
 BUILD_PARTY_CAP = 20
+
+# the largest party count a Grouping holds: the masks of n single-party groups take
+# n^2/2 bits, 6 MB at the cap, and a larger n is refused before any mask is formed
+GROUPING_PARTY_CAP = 10_000
 
 
 def party_bitmask(parties: Iterable[int]) -> int:
@@ -58,10 +64,30 @@ def _party_text(parties: Iterable[int]) -> str:
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
 
 
+def _number_text(value: object) -> str:
+    """A number as an error shows it; an int past the interpreter's digit limit by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{type(value).__name__} of {int(value).bit_length()} bits>"
+
+
 def _check_size(n: object, least: int, what: str, name: str = "n") -> int:
     """A count, by default the party count n, must be a plain int of at least `least`."""
     if type(n) is not int or n < least:
-        raise ValueError(f"a {what} needs an integer {name} of at least {least}, got {name}={n!r}")
+        shown = _number_text(n) if type(n) is int else repr(n)
+        raise ValueError(
+            f"a {what} needs an integer {name} of at least {least}, got {name}={shown}"
+        )
+    return n
+
+
+def _check_grouping_size(n: object) -> int:
+    """A grouping's party count, 1 to GROUPING_PARTY_CAP, checked before any mask is formed."""
+    if type(n) is not int or not 1 <= n <= GROUPING_PARTY_CAP:
+        _check_size(n, 1, "grouping")  # names a count that is no int or below 1
+        raise ValueError(f"a grouping with n={_number_text(n)} has a mask bit per party; "
+                         f"groupings cap at n={GROUPING_PARTY_CAP}")
     return n
 
 
@@ -74,17 +100,9 @@ def _check_party(p: object, n: int | None = None) -> int:
     return p
 
 
-def _number_text(value: object) -> str:
-    """A number as an error shows it; an int past the interpreter's digit limit by its size."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"<{type(value).__name__} of {int(value).bit_length()} bits>"
-
-
 def _largest_label(n: int) -> str:
     """2^(n-1) - 1 as an error prints it: in digits up to n = 64, beyond that as a power."""
-    return str((1 << (n - 1)) - 1) if n <= 64 else f"(2^{n - 1} - 1)"
+    return str((1 << (n - 1)) - 1) if n <= 64 else f"(2^{_number_text(n - 1)} - 1)"
 
 
 def _table_size(n: object, length: int, what: str) -> int:
@@ -94,7 +112,8 @@ def _table_size(n: object, length: int, what: str) -> int:
     forms 2^(n-1).
     """
     if _check_size(n, 2, what) > (length + 1).bit_length() + 1:
-        raise ValueError(f"a {what} with n={n} needs 2^{n - 1} - 1 entries, got {length}")
+        raise ValueError(f"a {what} with n={_number_text(n)} needs 2^{_number_text(n - 1)} - 1 "
+                         f"entries, got {length}")
     return (1 << (n - 1)) - 1
 
 
@@ -107,7 +126,7 @@ def _check_label(label: object, n: int, what: str = "label") -> int:
         raise ValueError(f"{what} {label!r} is not an integer")
     if label <= 0 or label.bit_length() >= n:
         raise ValueError(
-            f"{what} {_number_text(label)} outside [1, {_largest_label(n)}] for n={n}"
+            f"{what} {_number_text(label)} outside [1, {_largest_label(n)}] for n={_number_text(n)}"
         )
     return label
 
@@ -337,7 +356,7 @@ class Grouping:
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = _check_size(self.n, 1, "grouping")
+        n = _check_grouping_size(self.n)
         # parties outside 1..n get no bit, so that a huge number cannot build a huge mask
         unknown: set[int] = set()
         masks = []
@@ -368,7 +387,7 @@ class Grouping:
         but nothing is sorted: a mask out of order is an error.
         """
         grouping = object.__new__(cls)
-        object.__setattr__(grouping, "n", _check_size(n, 1, "grouping"))
+        object.__setattr__(grouping, "n", _check_grouping_size(n))
         grouping._set_masks(tuple(masks))
         return grouping
 
@@ -378,13 +397,13 @@ class Grouping:
 
     @classmethod
     def all_separate(cls, n: int) -> "Grouping":
-        _check_size(n, 1, "grouping")
+        _check_grouping_size(n)
         return cls(n, tuple(frozenset({i}) for i in range(1, n + 1)))
 
     @classmethod
     def with_joined(cls, n: int, *joined: Iterable[int]) -> "Grouping":
         """Grouping with the given multi-party groups; everyone else stays single."""
-        _check_size(n, 1, "grouping")
+        _check_grouping_size(n)
         groups = [frozenset(map(_check_party, g)) for g in joined]
         taken = set().union(*groups) if groups else set()
         groups.extend(frozenset({i}) for i in range(1, n + 1) if i not in taken)
@@ -404,8 +423,8 @@ class Grouping:
 def _build_labels(n: int, what: str) -> range:
     """Labels 1..2^(n-1)-1 for a constructor to walk; rejects a bad n and n > BUILD_PARTY_CAP."""
     if _check_size(n, 2, what) > BUILD_PARTY_CAP:
-        raise ValueError(f"a {what} with n={n} walks 2^{n - 1} - 1 labels; "
-                         f"construction caps at n={BUILD_PARTY_CAP}")
+        raise ValueError(f"a {what} with n={_number_text(n)} walks 2^{_number_text(n - 1)} - 1 "
+                         f"labels; construction caps at n={BUILD_PARTY_CAP}")
     return range(1, 1 << (n - 1))
 
 
@@ -456,7 +475,7 @@ class Specification:
         if value < 0 or value >> len(_build_labels(n, "specification")):
             raise ValueError(
                 f"specification value {_number_text(value)} outside [0, 2^{_largest_label(n)}) "
-                f"for n={n}"
+                f"for n={_number_text(n)}"
             )
         return cls.from_function(n, lambda m: value >> (m - 1) & 1)
 

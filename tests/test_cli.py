@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from entact import (Grouping, classify_groupings, example_state, grouping_report,
-                    random_family_state)
+from entact import (Grouping, Specification, classify_groupings, example_state,
+                    from_specification, grouping_report, random_family_state)
 from entact.cli import load_state, main, save_state, state_document, state_from_document
 
 
@@ -586,3 +586,163 @@ def test_version_flag(capsys):
 def test_missing_state_file_reports_error(capsys):
     rc, _, err = run(capsys, "analyze", "--state", "/nonexistent.json", "--grouping", "1|2")
     assert rc == 2 and err.startswith("error:")
+
+
+def _pretty_state_reference(state):
+    """The construct --pretty table, line by line from the state's fields."""
+    lines = [f"parties        {state.n}", f"lam0_plus      {state.lam0_plus:.12g}",
+             f"lam0_minus     {state.lam0_minus:.12g}", f"delta          {state.delta:.12g}",
+             "label     coefficient  indicator  splitting"]
+    for m in range(1, 1 << (state.n - 1)):
+        side_b = [p for p in range(1, state.n) if m >> (p - 1) & 1]
+        side_a = [p for p in range(1, state.n + 1) if p not in side_b]
+        split = "(" + "".join(f"A{p}" for p in side_a) + ")-(" + "".join(f"A{p}" for p in side_b) + ")"
+        lines.append(f"{m:>5}  {state.lam[m - 1]:>14.10g}  {state.indicator(m):>9}  {split}")
+    return "".join(line + "\n" for line in lines)
+
+
+_CATALOG_COMMANDS = [
+    (["--example", "I", "--n", "8", "--j", "3"], ("I", 8), {"j": 3}),
+    (["--example", "II", "--n", "10", "--band", "40", "60"], ("II", 10), {"band": (40.0, 60.0)}),
+    (["--example", "III", "--n", "5", "--group", "1,3,5"], ("III", 5), {"group": [1, 3, 5]}),
+    (["--example", "IV", "--n", "8", "--j", "3"], ("IV", 8), {"j": 3}),
+    (["--example", "v", "--n", "8"], ("V", 8), {}),
+    (["--example", "VI"], ("VI",), {}),
+    (["--example", " VII "], ("VII",), {}),
+]
+_REALIZE_OPTIONS = [
+    ([], {}),
+    (["--margin", "0.25"], {"margin": 0.25}),
+    (["--lam0-minus", "0.3"], {"lam0_minus": 0.3}),
+    (["--margin", "1", "--lam0-minus", "2.5"], {"margin": 1.0, "lam0_minus": 2.5}),
+]
+
+
+@pytest.mark.parametrize("argv, args, kwargs", _CATALOG_COMMANDS)
+@pytest.mark.parametrize("options, realize", _REALIZE_OPTIONS)
+def test_construct_example_bytes(tmp_path, capsys, argv, args, kwargs, options, realize):
+    state = example_state(*args, **kwargs, **realize)
+    rc, out, err = run(capsys, "construct", *argv, *options)
+    assert (rc, out, err) == (0, json.dumps(state_document(state)) + "\n", "")
+    rc, out, err = run(capsys, "construct", *argv, *options, "--pretty")
+    assert (rc, out, err) == (0, _pretty_state_reference(state), "")
+    path = tmp_path / "state.json"
+    rc, out, err = run(capsys, "construct", *argv, *options, "-o", str(path))
+    assert (rc, out, err) == (0, "", "")
+    assert path.read_text() == json.dumps(state_document(state)) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--example", "VIII"], "unknown pattern 'VIII'; choose from I, II, III, IV, V, VI, VII"),
+    (["--example", "I", "--n", "6"], "pattern I needs j"),
+    (["--example", "V"], "pattern V needs n"),
+    (["--example", "V", "--n", "6", "--j", "2"], "pattern V does not take j"),
+    (["--example", "I", "--n", "6", "--j", "2", "--band", "0", "50", "--group", "1"],
+     "pattern I does not take band, group"),
+    (["--example", "VI", "--n", "5"], "pattern VI is defined for n=4"),
+    (["--example", "V", "--n", "1"], "a pattern needs an integer n of at least 2, got n=1"),
+    (["--example", "I", "--n", "6", "--j", "0"], "a pattern needs an integer j of at least 1, got j=0"),
+    (["--example", "I", "--n", "6", "--j", "6"], "j must lie in [1, 5] for n=6"),
+    (["--example", "IV", "--n", "8", "--j", "5"], "j must lie in [1, 4] for n=8"),
+    (["--example", "II", "--n", "10", "--band", "60", "40"], "band must satisfy 0 <= lo <= hi <= 100"),
+    (["--example", "III", "--n", "5", "--group", "1,x"], "bad party 'x' in --group '1,x'"),
+    (["--example", "III", "--n", "5", "--group", "1,,2"], "empty party in --group '1,,2'"),
+    (["--example", "III", "--n", "5", "--group", "1,7"], "side contains parties outside 1..5: [7]"),
+    (["--example", "V", "--n", "40"],
+     "a specification with n=40 walks 2^39 - 1 labels; construction caps at n=20"),
+    (["--example", "VI", "--margin", "0"], "margin must lie in (0, 1], got 0.0"),
+    (["--example", "I", "--n", "6", "--j", "6", "--margin", "0"], "j must lie in [1, 5] for n=6"),
+    (["--example", "VI", "--lam0-minus", "-1"], "lam0_minus must be finite and nonnegative, got -1.0"),
+    (["--example", "VI", "--lam0-minus", "1e16"],
+     "lam0_minus=1e+16 is too large: the corner gap rounds away "
+     "and the state no longer realizes the specification"),
+])
+def test_construct_example_error_exits(tmp_path, capsys, argv, message):
+    path = tmp_path / "state.json"
+    rc, out, err = run(capsys, "construct", *argv, "-o", str(path))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_construct_spec_bytes_and_error_exits(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 4, "bits": {str(m): m % 3 % 2 for m in range(1, 8)}}))
+    pattern = Specification.from_mapping(4, {m: m % 3 % 2 for m in range(1, 8)})
+    for options, realize in _REALIZE_OPTIONS:
+        state = from_specification(pattern, **realize)
+        rc, out, err = run(capsys, "construct", "--spec", str(spec), *options)
+        assert (rc, out, err) == (0, json.dumps(state_document(state)) + "\n", "")
+        rc, out, err = run(capsys, "construct", "--spec", str(spec), *options, "--pretty")
+        assert (rc, out, err) == (0, _pretty_state_reference(state), "")
+    missing = tmp_path / "missing.json"
+    cases = [
+        ("{", f"specification file {spec} is not valid JSON: "
+              "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1]", "specification file must hold an object with n and bits"),
+        ('{"n": 3}', "specification file must hold an object with n and bits"),
+        ('{"n": 3, "bits": [1, 0, 1]}', "specification file needs a bits object"),
+        ('{"n": 3, "bits": {"1": 1}}', "mapping must cover every label 1..3; missing [2, 3]"),
+        ('{"n": 3, "bits": {"1": 1, "2": 0, "4": 1}}', "label 4 outside [1, 3] for n=3"),
+        ('{"n": 3, "bits": {"1": 2, "2": 0, "3": 1}}', "specification bit 2 of label 1 is not 0 or 1"),
+        ('{"n": 1, "bits": {}}', "a specification needs an integer n of at least 2, got n=1"),
+    ]
+    for text, message in cases:
+        spec.write_text(text)
+        rc, out, err = run(capsys, "construct", "--spec", str(spec))
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), text
+    spec.write_text('{"n": 3, "bits": {"1": 1, "2": 0, "3": 1}}')
+    for options, message in [
+        (["--margin", "2"], "margin must lie in (0, 1], got 2.0"),
+        (["--lam0-minus", "nan"], "lam0_minus must be finite and nonnegative, got nan"),
+    ]:
+        rc, out, err = run(capsys, "construct", "--spec", str(spec), *options)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+    rc, out, err = run(capsys, "construct", "--spec", str(missing))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: cannot read specification file {missing}: "
+                   f"[Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+def _pretty_report_reference(rep):
+    """The analyze --grouping --pretty lines, built from the library report."""
+    text = lambda g: ",".join(map(str, sorted(g)))
+    lines = [f"grouping {rep.grouping}"]
+    for pv in rep.pairs:
+        word = "yes" if pv.distillable else "no   blocked by " + str(pv.witness)
+        lines.append(f"  ({text(pv.c)}) x ({text(pv.d)})  {word}")
+    lines.append("  ghz clique: " + " ".join(f"({text(g)})" for g in rep.ghz))
+    return "".join(line + "\n" for line in lines)
+
+
+def _pretty_pair_reference(pv):
+    text = lambda g: ",".join(map(str, sorted(g)))
+    word = "distillable" if pv.distillable else f"not distillable (blocked by {pv.witness})"
+    return f"pair ({text(pv.c)}) x ({text(pv.d)}): {word}\n"
+
+
+@pytest.mark.parametrize("name, state, specs", _SINGLE_CASES)
+def test_pretty_grouping_report_and_pair_match_the_library(tmp_path, capsys, name, state, specs):
+    path = str(tmp_path / f"{name}.json")
+    save_state(state, path)
+    state = load_state(path)
+    words = set()
+    for spec in specs:
+        grouping = Grouping.from_sets(state.n, [map(int, g.split(",")) for g in spec.split("|")])
+        rep = grouping_report(state, grouping)
+        rc, out, err = run(capsys, "analyze", "--state", path, "--grouping", spec, "--pretty")
+        assert (rc, out, err) == (0, _pretty_report_reference(rep), "")
+        for pv in rep.pairs:
+            words.add(pv.distillable)
+            rc, out, err = run(capsys, "analyze", "--state", path, "--grouping", spec,
+                               "--pair", str(min(pv.c)), str(min(pv.d)), "--pretty")
+            assert (rc, out, err) == (0, _pretty_pair_reference(pv), "")
+    assert words == {True, False}  # both wordings are met
+
+
+def test_search_pretty_sentences(capsys):
+    rc, out, err = run(capsys, "search", "--requirement", "example-vii", "--pretty")
+    assert (rc, err) == (0, "")
+    assert out == ("found a specification over 5 parties for 'example-vii':\n"
+                   "  distillable labels: 1, 2, 6, 9, 10, 13, 14\n")
+    rc, out, err = run(capsys, "search", "--requirement", "any-two", "--pretty")
+    assert (rc, out, err) == (0, "no specification over 5 parties meets 'any-two'\n", "")

@@ -190,3 +190,107 @@ def test_constructors_refuse_a_party_count_past_the_cap_before_walking_labels():
         with pytest.raises(ValueError, match=message):
             build()
     assert len(example_pattern("V", 16).bits) == (1 << 15) - 1
+
+
+def _side_b(n, m):
+    """The parties on side B of label m: those whose bit is set."""
+    return {p for p in range(1, n) if m >> (p - 1) & 1}
+
+
+def _catalog_reference(n, key, j=None, band=None, group=None):
+    """Distillable labels of a catalog pattern, read off the table in example_pattern's docstring."""
+    everyone = set(range(1, n + 1))
+
+    def distills(m):
+        side = _side_b(n, m)
+        size = len(side)
+        if key == "I":
+            return size in (j, n - j)
+        if key == "II":
+            # exact for the band edges below: each lo * n and hi * n is a whole number
+            lo, hi = band
+            return lo * n <= 100 * size <= hi * n
+        if key == "III":
+            return side in (set(group), everyone - set(group))
+        if key == "IV":
+            return size >= j and n - size >= j
+        if key == "V":
+            return size in (1, n - 1)
+        # side B never holds party n, so it is the side that names VI's and VII's splittings
+        if key == "VI":
+            return side in ({1}, {2}, {1, 2})
+        # VII: parties 1 and 2 on opposite sides, and not side {1, 3} against {2, 4, 5}
+        return (1 in side) != (2 in side) and side != {1, 3}
+
+    return tuple(1 if distills(m) else 0 for m in range(1, 1 << (n - 1)))
+
+
+def _bands(n):
+    """Integer percentage bands whose edges include every exact side-size fraction of n."""
+    edges = sorted({0, 25, 40, 50, 60, 75, 100} | {100 * k // n for k in range(n + 1)
+                                                   if 100 * k % n == 0})
+    return [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+
+
+def _proper_subsets(n):
+    for m in range(1, (1 << n) - 1):
+        yield {p for p in range(1, n + 1) if m >> (p - 1) & 1}
+
+
+def test_catalog_matches_its_docstring_table():
+    for n in range(2, 11):
+        assert example_pattern("V", n).bits == _catalog_reference(n, "V")
+        for j in range(1, n):
+            assert example_pattern("I", n, j=j).bits == _catalog_reference(n, "I", j=j)
+        for j in range(1, n // 2 + 1):
+            assert example_pattern("IV", n, j=j).bits == _catalog_reference(n, "IV", j=j)
+        for band in _bands(n):
+            got = example_pattern("II", n, band=band).bits
+            assert got == _catalog_reference(n, "II", band=band), (n, band)
+        if n <= 6:
+            for group in _proper_subsets(n):
+                got = example_pattern("III", n, group=group).bits
+                assert got == _catalog_reference(n, "III", group=group), (n, group)
+    assert (40, 60) in _bands(10) and (50, 50) in _bands(10)
+    assert example_pattern("VI").bits == _catalog_reference(4, "VI")
+    assert example_pattern("VII").bits == _catalog_reference(5, "VII")
+    assert example_pattern(" vii ") == example_pattern("VII", 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: example_pattern("VIII"),
+     "unknown pattern 'VIII'; choose from I, II, III, IV, V, VI, VII"),
+    (lambda: example_pattern(" x "),
+     "unknown pattern ' x '; choose from I, II, III, IV, V, VI, VII"),
+    (lambda: example_pattern("V", 6, j=2), "pattern V does not take j"),
+    (lambda: example_pattern("I", 6, j=2, band=(0, 50), group={1}),
+     "pattern I does not take band, group"),
+    (lambda: example_pattern("VI", 5, j=1), "pattern VI does not take j"),
+    (lambda: example_pattern("I", 6), "pattern I needs j"),
+    (lambda: example_pattern("II", 6), "pattern II needs band"),
+    (lambda: example_pattern("III", 6), "pattern III needs group"),
+    (lambda: example_pattern("IV", j=1), "pattern IV needs n"),
+    (lambda: example_pattern("V"), "pattern V needs n"),
+    (lambda: example_pattern("VI", 5), "pattern VI is defined for n=4"),
+    (lambda: example_pattern("VII", 4), "pattern VII is defined for n=5"),
+    (lambda: example_pattern("I", 1, j=5), "a pattern needs an integer n of at least 2, got n=1"),
+    (lambda: example_pattern("V", 4.0), "a pattern needs an integer n of at least 2, got n=4.0"),
+    (lambda: example_pattern("I", 6, j=6), "j must lie in [1, 5] for n=6"),
+    (lambda: example_pattern("I", 40, j=50), "j must lie in [1, 39] for n=40"),
+    (lambda: example_pattern("IV", 6, j=4), "j must lie in [1, 3] for n=6"),
+    (lambda: example_pattern("IV", 3, j=2), "j must lie in [1, 1] for n=3"),
+    (lambda: example_pattern("II", 10, band=(60, 40)), "band must satisfy 0 <= lo <= hi <= 100"),
+    (lambda: example_pattern("II", 10, band=(-1, 40)), "band must satisfy 0 <= lo <= hi <= 100"),
+    (lambda: example_pattern("II", 10, band=(40, 100.5)),
+     "band must satisfy 0 <= lo <= hi <= 100"),
+    (lambda: example_pattern("II", 40, band=(60, 40)), "band must satisfy 0 <= lo <= hi <= 100"),
+    (lambda: example_pattern("III", 5, group={1, 7}), "side contains parties outside 1..5: [7]"),
+    (lambda: example_pattern("III", 5, group=range(1, 6)),
+     "side must be a proper subset of the parties"),
+    (lambda: example_pattern("III", 5, group=()), "side must not be empty"),
+    (lambda: example_pattern("II", 40, band=(40, 60)),
+     "a specification with n=40 walks 2^39 - 1 labels; construction caps at n=20"),
+])
+def test_catalog_error_texts(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

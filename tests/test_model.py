@@ -23,6 +23,7 @@ from entact import (
     search_specifications,
     validate,
 )
+from entact.model import GROUPING_PARTY_CAP
 from reference import ghz_basis_vector, separating_splittings, straddles
 
 
@@ -477,3 +478,63 @@ def test_value_errors_of_a_huge_n_state_the_bound_as_a_power():
     message = r"^specification value -1 outside \[0, 2\^\(2\^99999 - 1\)\) for n=100000$"
     with pytest.raises(ValueError, match=message):
         Specification.from_int(100000, -1)
+
+
+HUGE = 10**5000  # more digits than the interpreter turns into text
+HUGE_TEXT = "<int of 16610 bits>"
+
+
+def test_a_state_of_a_huge_n_is_named_by_its_size():
+    message = f"a state with n={HUGE_TEXT} needs 2^{HUGE_TEXT} - 1 entries, got 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilyState(HUGE, 0.5, 0, (0.25,))
+
+
+def test_a_specification_of_a_huge_n_is_named_by_its_size():
+    message = f"a specification with n={HUGE_TEXT} needs 2^{HUGE_TEXT} - 1 entries, got 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Specification(HUGE, (1,))
+    message = (f"a specification with n={HUGE_TEXT} walks 2^{HUGE_TEXT} - 1 labels; "
+               "construction caps at n=20")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Specification.from_function(HUGE, bool)
+    message = f"specification value -1 outside [0, 2^(2^{HUGE_TEXT} - 1)) for n={HUGE_TEXT}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Specification.from_int(HUGE, -1)
+
+
+def test_a_splitting_of_a_huge_n_is_named_by_its_size():
+    message = f"splitting label 0 outside [1, (2^{HUGE_TEXT} - 1)] for n={HUGE_TEXT}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Splitting(HUGE, 0)
+    message = f"a splitting needs an integer n of at least 2, got n={HUGE_TEXT}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Splitting(-HUGE, 1)
+    # ordinary counts keep their digits
+    with pytest.raises(ValueError, match=r"^a splitting needs an integer n of at least 2, got n=-3$"):
+        Splitting(-3, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: Grouping(n, ({1},)),
+    lambda n: Grouping.from_sets(n, [[1]]),
+    lambda n: Grouping.from_masks(n, (1,)),
+    lambda n: Grouping.all_separate(n),
+    lambda n: Grouping.with_joined(n, (1, 2)),
+])
+def test_every_grouping_constructor_refuses_a_party_count_past_the_cap(build):
+    # refused before a loop over the parties or a mask of n bits
+    assert GROUPING_PARTY_CAP >= 10_000
+    for n, shown in ((HUGE, HUGE_TEXT), (GROUPING_PARTY_CAP + 1, str(GROUPING_PARTY_CAP + 1))):
+        message = (f"a grouping with n={shown} has a mask bit per party; "
+                   f"groupings cap at n={GROUPING_PARTY_CAP}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(n)
+
+
+def test_a_grouping_at_the_cap_is_built():
+    n = GROUPING_PARTY_CAP
+    everyone = range(1, n + 1)
+    assert Grouping(n, (everyone,)).masks == ((1 << n) - 1,)
+    assert Grouping.from_masks(n, (1, (1 << n) - 2)).group_of(n) == set(everyone) - {1}
+    assert Grouping.with_joined(n, everyone).groups == (frozenset(everyone),)

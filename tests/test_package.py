@@ -4,11 +4,13 @@ from __future__ import annotations
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import entact
+from entact.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -27,6 +29,27 @@ def test_readme_tour_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_command_outputs_match(tmp_path, monkeypatch, capsys):
+    # every command of the command-line block runs, in order, from one directory;
+    # the "#   " lines under a command are its output, line for line
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    commands: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("entact "):
+            commands.append((line, []))
+        elif line.startswith("#   ") and commands:
+            commands[-1][1].append(line[4:])
+    assert sum(1 for _, shown in commands if shown) >= 3
+    monkeypatch.chdir(tmp_path)
+    for command, shown in commands:
+        rc = main(shlex.split(command)[1:])
+        out = capsys.readouterr().out
+        assert rc == 0, command
+        if shown:
+            assert out.splitlines() == shown, command
 
 
 def test_oracle_imports_only_model():
