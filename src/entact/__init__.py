@@ -5,7 +5,7 @@ one coefficient per bipartite splitting plus two corner weights.  On top
 of that it decides which splittings are distillable, which groups of
 cooperating parties can activate a pair between them, simulates the
 protocols that do it, and cross-checks everything against a
-partial-transpose oracle on the density-matrix entries, up to 12 parties
+partial-transpose oracle on the density-matrix entries, up to 16 parties
 (entact.oracle, needs numpy).  The command-line entry point lives in entact.cli.
 """
 from .analysis import (

@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pro.add_argument("--pretty", action="store_true", help="step table instead of JSON")
     pro.set_defaults(func=_cmd_protocol)
 
-    ver = sub.add_parser("verify", help="cross-check the indicators against partial transposes (up to 12 parties)")
+    ver = sub.add_parser("verify", help="cross-check the indicators against partial transposes (up to 16 parties)")
     ver.add_argument("--state", required=True, metavar="FILE")
     ver.add_argument("--tol", type=float, default=1e-10,
                      help="eigenvalue tolerance (default 1e-10)")

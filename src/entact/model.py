@@ -20,8 +20,9 @@ a splitting label, `_check_group_masks` for a partition into groups,
 `_table_size` for the 2^(n-1) - 1 entries of a label table,
 `_build_labels` for a constructor that walks them (n up to
 BUILD_PARTY_CAP), and `_is_real` with `_is_finite` for a weight or any
-other real parameter.  Errors show a party count through `_number_text`,
-so an n past the interpreter's digit limit is named by its size.
+other real parameter.  Errors show a party count or a party number
+through `_number_text`, so one past the interpreter's digit limit is
+named by its size.
 `FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
@@ -51,7 +52,15 @@ def party_bitmask(parties: Iterable[int]) -> int:
 
 
 def parties_from_bitmask(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The parties of a bitmask, one step per set bit (bit p - 1 is party p)."""
+    if mask < 0:
+        raise ValueError(f"party bitmask {_number_text(mask)} is negative")
+    parties = []
+    while mask:
+        low = mask & -mask
+        parties.append(low.bit_length())
+        mask ^= low
+    return frozenset(parties)
 
 
 def _party_text(parties: Iterable[int]) -> str:
@@ -70,6 +79,11 @@ def _number_text(value: object) -> str:
         return str(value)
     except ValueError:
         return f"<{type(value).__name__} of {int(value).bit_length()} bits>"
+
+
+def _parties_text(parties: Iterable[int]) -> str:
+    """Party numbers as an error lists them, ascending, each through `_number_text`."""
+    return "[" + ", ".join(map(_number_text, sorted(parties))) + "]"
 
 
 def _check_size(n: object, least: int, what: str, name: str = "n") -> int:
@@ -96,7 +110,7 @@ def _check_party(p: object, n: int | None = None) -> int:
     if type(p) is not int:
         raise ValueError(f"party {p!r} is not an integer")
     if n is not None and not 1 <= p <= n:
-        raise ValueError(f"party {p} outside 1..{n}")
+        raise ValueError(f"party {_number_text(p)} outside 1..{_number_text(n)}")
     return p
 
 
@@ -138,7 +152,9 @@ def _check_party_set(n: int, parties: Iterable[int], what: str) -> frozenset[int
         raise ValueError(f"{what} must not be empty")
     bad = [p for p in ps if not 1 <= p <= n]
     if bad:
-        raise ValueError(f"{what} contains parties outside 1..{n}: {sorted(bad)}")
+        raise ValueError(
+            f"{what} contains parties outside 1..{_number_text(n)}: {_parties_text(bad)}"
+        )
     return ps
 
 
@@ -302,8 +318,14 @@ def validate(state: FamilyState) -> list[str]:
         problems.append(
             f"lam0_plus < lam0_minus (gap {state.delta}); the corner gap must be nonnegative"
         )
-    # every weight is a finite real by now, so float() cannot overflow; a sum of huge ints could
-    total = float(state.lam0_plus) + float(state.lam0_minus) + 2.0 * sum(map(float, state.lam))
+    # every weight is a finite real by now, so float() cannot overflow; a sum of huge ints could.
+    # The table is summed exactly and rounded once: a plain running sum of the 65,535 weights
+    # of a normalized 17-party state drifts past NORMALIZATION_TOL
+    try:
+        lam_sum = math.fsum(map(float, state.lam))
+    except OverflowError:
+        lam_sum = sum(map(float, state.lam))
+    total = float(state.lam0_plus) + float(state.lam0_minus) + 2.0 * lam_sum
     if abs(total - 1.0) > NORMALIZATION_TOL:
         problems.append(f"total weight {total!r} deviates from 1 by more than {NORMALIZATION_TOL}")
     return problems
@@ -314,8 +336,8 @@ def _cover_error(n: int, union: int, unknown: Iterable[int]) -> ValueError:
     unknown = sorted(unknown)
     return ValueError(
         f"groups must partition 1..{n}"
-        + (f"; missing {missing}" if missing else "")
-        + (f"; unknown {unknown}" if unknown else "")
+        + (f"; missing {_parties_text(missing)}" if missing else "")
+        + (f"; unknown {_parties_text(unknown)}" if unknown else "")
     )
 
 

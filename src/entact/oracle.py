@@ -26,13 +26,24 @@ entry of a dense matrix.
 Deflated solve.  An index whose row and column hold no nonzero entry off
 the diagonal spans an invariant subspace, so its diagonal entry is an
 eigenvalue; the remaining, coupled indices go through one `eigvalsh` of
-their block.  A family state's partial transpose couples two indices; a
-dense matrix couples all of them and gets one full solve.  No label,
-indicator or family formula enters that step.
+their block.  `_deflated_mins` does this for a stack of S matrices that
+share the diagonal, given as (S, E) arrays of where each holds the E
+nonzero off-diagonal entries: the report passes every splitting's
+mapped entries (S = 2^(n-1) - 1), `min_pt_eigenvalue` one row.  In one
+vectorized pass it sorts each row's coupled indices, and reads each
+row's smallest uncoupled diagonal entry off one sort of the diagonal:
+a row couples at most 2E indices, so that entry is among the first
+2E + 1 sorted ones, and a `searchsorted` tests which of those are
+coupled.  Only each row's block solve runs one splitting at a time.  A
+family state's partial transpose couples two indices; a dense matrix
+couples all of them and gets one full solve.  No label, indicator or
+family formula enters the solve.
 
 Two caps.  The dense views (`build_density`, `partial_transpose`,
-`min_pt_eigenvalue`) stop at DENSE_PARTY_CAP parties.  The agreement
-report never forms the matrix and stops at REPORT_PARTY_CAP parties.
+`min_pt_eigenvalue`) form 4^n entries and stop at DENSE_PARTY_CAP
+parties.  The agreement report never forms the matrix: its cost is the
+2^n diagonal and one small solve per splitting, about 2^n of each, and
+it stops at REPORT_PARTY_CAP parties.
 
 The family's states are diagonal in a basis of real vectors with real
 weights, so their matrices, and every partial transpose of them, are
@@ -52,7 +63,7 @@ import numpy as np
 from .model import FamilyState, Splitting, _check_party_set, _is_finite, _is_real
 
 DENSE_PARTY_CAP = 8
-REPORT_PARTY_CAP = 12
+REPORT_PARTY_CAP = 16
 
 
 def _check_cap(n: int, cap: int = DENSE_PARTY_CAP, route: str = "dense route") -> None:
@@ -87,8 +98,11 @@ def _side_bits(n: int, parties) -> int:
     return sum(1 << (n - p) for p in _check_party_set(n, parties, "parties"))
 
 
-def _transpose_entries(rows: np.ndarray, cols: np.ndarray, bits: int):
-    """Where transposing the basis bits `bits` moves the entries at (rows, cols)."""
+def _transpose_entries(rows: np.ndarray, cols: np.ndarray, bits):
+    """Where transposing the basis bits `bits` moves the entries at (rows, cols).
+
+    `bits` is an int, or a column of them that maps the entries once per row.
+    """
     keep = ~bits
     return (rows & keep) | (cols & bits), (cols & keep) | (rows & bits)
 
@@ -127,26 +141,52 @@ def _check_finite(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Non
         raise ValueError(f"matrix entry ({rows[k]}, {cols[k]}) is not finite: {values[k]}")
 
 
-def _deflated_min(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix with this diagonal and these entries.
+def _deflated_mins(
+    diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> list[float]:
+    """Smallest eigenvalue of each Hermitian matrix in a stack that shares one diagonal.
 
-    (rows, cols, values) list the nonzero off-diagonal entries, each
-    position once.  An index in none of them spans an invariant
-    subspace, so its diagonal entry is an eigenvalue; every other index
-    goes into one full `eigvalsh` of the coupled block.
+    Row s of the (S, E) arrays (rows, cols) says where matrix s holds the
+    E nonzero off-diagonal `values`, each position once.  An index in
+    none of a row's entries spans an invariant subspace of that matrix,
+    so its diagonal entry is an eigenvalue; the row's other, coupled
+    indices go into one `eigvalsh` of their block.  Everything but that
+    solve is done for all rows at once.
     """
-    coupled = np.zeros(diag.size, dtype=bool)
-    coupled[rows] = True
-    coupled[cols] = True
-    low = np.inf
-    if not coupled.all():
-        low = float(diag[~coupled].real.min())
-    keep = np.flatnonzero(coupled)
-    if keep.size:
-        block = np.diag(diag[keep])
-        block[np.searchsorted(keep, rows), np.searchsorted(keep, cols)] = values
-        low = min(low, float(np.linalg.eigvalsh(block).min()))
-    return low
+    count, size = rows.shape
+    dim = diag.size
+    # each row's coupled indices in ascending order, the first of each run kept;
+    # offsetting row s by s * dim lines all rows up in one ascending array of keys
+    coupled = np.sort(np.concatenate((rows, cols), axis=1), axis=1)
+    first = np.ones(coupled.shape, dtype=bool)
+    first[:, 1:] = coupled[:, 1:] != coupled[:, :-1]
+    offset = np.arange(count)[:, None] * dim
+    keys = (coupled + offset)[first]
+    keep = coupled[first]
+    sizes = first.sum(axis=1)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # a row couples at most 2E indices, so its smallest uncoupled diagonal
+    # entry lies among the first 2E + 1 of the diagonal in ascending order
+    real = diag.real
+    order = np.argsort(real, kind="stable")[: 2 * size + 1]
+    probe = order + offset
+    free = np.append(keys, count * dim)[np.searchsorted(keys, probe)] != probe
+    pick = free.argmax(axis=1)
+    lows = np.where(free[np.arange(count), pick], real[order[pick]], np.inf).tolist()
+    # each entry's place in its row's block
+    block_rows = np.searchsorted(keys, rows + offset) - starts[:, None]
+    block_cols = np.searchsorted(keys, cols + offset) - starts[:, None]
+    block_diag = diag[keep]
+    out = []
+    for s, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        eig = lows[s]
+        if b > a:
+            block = np.diag(block_diag[a:b])
+            block[block_rows[s], block_cols[s]] = values
+            eig = min(eig, float(np.linalg.eigvalsh(block).min()))
+        out.append(eig)
+    return out
 
 
 def build_density(state: FamilyState) -> np.ndarray:
@@ -177,7 +217,7 @@ def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
     _check_finite(rows, cols, values)
     off = rows != cols
     rows, cols = _transpose_entries(rows[off], cols[off], _side_bits(n, split.side_b))
-    return _deflated_min(mat.diagonal(), rows, cols, values[off])
+    return _deflated_mins(mat.diagonal(), rows[None], cols[None], values[off])[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +248,7 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
     indicator 0 must not.  Exact boundary states land on the separable
     side in both routes.  A negative, non-finite or bool tol is rejected.
     The matrix is never formed: the diagonal stays put, and only the
-    nonzero off-diagonal entries are mapped for each splitting.
+    nonzero off-diagonal entries are mapped, for every splitting at once.
     """
     if not (_is_real(tol) and _is_finite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
@@ -219,13 +259,11 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
     diag = np.zeros(1 << state.n, dtype=np.float64)
     diag[rows[on]] = values[on]
     off = ~on & (values != 0)
-    rows, cols, values = rows[off], cols[off], values[off]
-    bits = _label_bits(state.n)
+    bits = np.array(_label_bits(state.n)[1:])[:, None]
+    eigs = _deflated_mins(diag, *_transpose_entries(rows[off], cols[off], bits), values[off])
     checks = []
-    for mask in range(1, state.label_count + 1):
-        split = Splitting(state.n, mask)
-        eig = _deflated_min(diag, *_transpose_entries(rows, cols, bits[mask]), values)
+    for mask, eig in enumerate(eigs, start=1):
         s = state.indicator(mask)
         agree = (eig < -tol) if s else (eig >= -tol)
-        checks.append(SplitCheck(split, s, eig, agree))
+        checks.append(SplitCheck(Splitting(state.n, mask), s, eig, agree))
     return AgreementReport(state.n, tol, tuple(checks))

@@ -7,6 +7,9 @@ table of group unions.  `dense_projector_sum` writes a state out as the
 plain sum of full-size basis projectors, which the oracle's support-only
 build must reproduce bit for bit, and `partial_transpose_dense` swaps
 tensor axes, which the oracle's index map must reproduce bit for bit.
+`pt_min_eigenvalues` solves the partial transpose of every splitting of
+a family state one splitting at a time, from the state's own projector
+entries; the oracle's one-pass report must give the same floats.
 The dense replay of the protocol
 moves (`measure_plus_dense`, `join_dense`, `effective_pair_dense`,
 `permute_dense`, read back by `coefficients_from_density`) carries out
@@ -118,6 +121,65 @@ def dense_projector_sum(state: FamilyState) -> np.ndarray:
             v = ghz_basis_vector(state.n, label, sign)
             rho += weight * np.outer(v, v)
     return rho
+
+
+def _projector_support_entries(state: FamilyState):
+    """The nonzero entries of the projector sum, written out label by label.
+
+    Each label's two projectors hold +-h = +-(1/sqrt 2)^2 on the 2 by 2
+    support of its basis indices; the entry values are summed in the
+    order `dense_projector_sum` adds them (the + projector, then the -
+    one), so they are the same floats.
+    """
+    dim = 1 << state.n
+    amp = 1.0 / math.sqrt(2.0)
+    h = amp * amp
+    diag = np.zeros(dim, dtype=np.float64)
+    rows, cols, values = [], [], []
+    weights = [(state.lam0_plus, state.lam0_minus)]
+    weights += [(w, w) for w in state.lam]
+    for label, (w_plus, w_minus) in enumerate(weights):
+        idx = _basis_index(state.n, label)
+        twin = dim - 1 - idx
+        w_plus, w_minus = float(w_plus), float(w_minus)
+        diag[idx] = diag[twin] = (0.0 + w_plus * h) + w_minus * h
+        corner = (0.0 + w_plus * h) + w_minus * -h
+        if corner != 0.0:
+            rows += [idx, twin]
+            cols += [twin, idx]
+            values += [corner, corner]
+    return diag, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(values)
+
+
+def pt_min_eigenvalues(state: FamilyState) -> list[float]:
+    """The smallest partial-transpose eigenvalue of every splitting, one splitting at a time.
+
+    For splitting label m, with B the basis bits of side B (party i is
+    bit n - i), the partial transpose moves each off-diagonal entry
+    (i, j) to ((i & ~B) | (j & B), (j & ~B) | (i & B)) and keeps the
+    diagonal.  The smallest eigenvalue is then the least of the diagonal
+    entries no moved entry touches and of one full solve of the block
+    of indices that they do touch.
+    """
+    diag, rows, cols, values = _projector_support_entries(state)
+    out = []
+    for label in range(1, state.label_count + 1):
+        bits = sum(1 << (state.n - p) for p in range(1, state.n) if label >> (p - 1) & 1)
+        pt_rows = (rows & ~bits) | (cols & bits)
+        pt_cols = (cols & ~bits) | (rows & bits)
+        touched = np.zeros(diag.size, dtype=bool)
+        touched[pt_rows] = True
+        touched[pt_cols] = True
+        low = np.inf
+        if not touched.all():
+            low = float(diag[~touched].min())
+        keep = np.flatnonzero(touched)
+        if keep.size:
+            block = np.diag(diag[keep])
+            block[np.searchsorted(keep, pt_rows), np.searchsorted(keep, pt_cols)] = values
+            low = min(low, float(np.linalg.eigvalsh(block).min()))
+        out.append(low)
+    return out
 
 
 def _party_count(mat: np.ndarray) -> int:

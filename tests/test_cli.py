@@ -523,17 +523,17 @@ def test_verify_agreement(tmp_path, capsys):
         assert rc == 2 and out == "" and "tolerance must be finite and nonnegative" in err
 
 
-def test_verify_reaches_twelve_parties_and_refuses_thirteen(tmp_path, capsys):
+def test_verify_reaches_sixteen_parties_and_refuses_seventeen(tmp_path, capsys):
     path = tmp_path / "v.json"
-    save_state(example_state("V", 12), str(path))
+    save_state(example_state("V", 16), str(path))
     rc, out, _ = run(capsys, "verify", "--state", str(path), "--pretty")
     assert rc == 0
     assert out.splitlines()[-1] == "agreement: complete"
-    assert len(out.splitlines()) == 2048
-    save_state(example_state("V", 13), str(path))
+    assert len(out.splitlines()) == 1 << 15
+    save_state(example_state("V", 17), str(path))
     rc, out, err = run(capsys, "verify", "--state", str(path))
     assert rc == 2 and out == ""
-    assert "agreement report caps at 12 parties" in err
+    assert "agreement report caps at 16 parties (dimension 65536); requested n=17" in err
 
 
 def test_verify_flags_boundary_disagreement(tmp_path, capsys):

@@ -202,6 +202,12 @@ def test_validate_sums_huge_integer_weights_as_floats():
     assert problems == [f"total weight inf deviates from 1 by more than {NORMALIZATION_TOL}"]
 
 
+def test_validate_accepts_normalized_states_with_long_tables():
+    # a running sum of 65,535 weights drifts past the tolerance; the exact sum does not
+    for state in (example_state("V", 17), random_family_state(17, 1), example_state("V", 18)):
+        assert validate(state) == [], state.n
+
+
 def test_validate_names_a_weight_too_long_to_print_by_its_size():
     # 10**5000 has more digits than the interpreter prints
     assert validate(FamilyState(2, 10**5000, 0, (0,))) == [
@@ -538,3 +544,32 @@ def test_a_grouping_at_the_cap_is_built():
     assert Grouping(n, (everyone,)).masks == ((1 << n) - 1,)
     assert Grouping.from_masks(n, (1, (1 << n) - 2)).group_of(n) == set(everyone) - {1}
     assert Grouping.with_joined(n, everyone).groups == (frozenset(everyone),)
+
+
+def test_groupings_of_ten_thousand_single_parties_are_built():
+    # one step per set bit of each group mask, not one per bit below its top party
+    n = 10_000
+    separate = Grouping.all_separate(n)
+    assert separate.groups == tuple(frozenset({p}) for p in range(1, n + 1))
+    assert separate.masks == tuple(1 << (p - 1) for p in range(1, n + 1))
+    assert Grouping.from_masks(n, separate.masks).groups == separate.groups
+    joined = Grouping.with_joined(n, (1, n))
+    assert joined.groups == (frozenset({1, n}),) + tuple(frozenset({p}) for p in range(2, n))
+    assert joined.masks[0] == 1 | 1 << (n - 1)
+
+
+@pytest.mark.parametrize("mask, shown", [(-1, "-1"), (-HUGE, HUGE_TEXT)], ids=["minus-one", "huge"])
+def test_a_negative_party_bitmask_is_refused(mask, shown):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'party bitmask {shown} is negative')}$"):
+        parties_from_bitmask(mask)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Splitting(4, 1).bit(HUGE), f"party {HUGE_TEXT} outside 1..4"),
+    (lambda: Splitting.from_side(4, {HUGE}), f"side contains parties outside 1..4: [{HUGE_TEXT}]"),
+    (lambda: Grouping.from_sets(2, [[1, 2], [HUGE]]),
+     f"groups must partition 1..2; unknown [{HUGE_TEXT}]"),
+], ids=["bit", "from_side", "from_sets"])
+def test_a_party_number_past_the_digit_limit_is_named_by_its_size(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

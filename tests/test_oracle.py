@@ -12,7 +12,7 @@ from entact import FamilyState, Splitting, example_state, random_family_state
 from entact.oracle import (
     DENSE_PARTY_CAP,
     REPORT_PARTY_CAP,
-    _deflated_min,
+    _deflated_mins,
     build_density,
     min_pt_eigenvalue,
     partial_transpose,
@@ -27,6 +27,7 @@ from reference import (
     measure_plus_dense,
     partial_transpose_dense,
     permute_dense,
+    pt_min_eigenvalues,
 )
 
 
@@ -134,10 +135,20 @@ def test_report_matches_the_full_solve_of_the_reference_transpose(state):
 
 
 def test_report_reaches_past_the_dense_cap():
+    assert REPORT_PARTY_CAP == 16
     for n in range(DENSE_PARTY_CAP + 1, REPORT_PARTY_CAP + 1):
         report = ppt_agreement_report(example_state("V", n))
         assert report.all_agree, n
         assert len(report.checks) == (1 << (n - 1)) - 1
+
+
+@pytest.mark.parametrize("n", range(DENSE_PARTY_CAP + 1, 13))
+def test_report_equals_the_splitting_by_splitting_reference(n):
+    # past the dense cap the reference solves each splitting's deflated block on its own
+    states = [example_state("V", n)] + [random_family_state(n, seed) for seed in range(3)]
+    for state in states:
+        eigs = [c.min_eigenvalue for c in ppt_agreement_report(state).checks]
+        assert np.array(eigs).tobytes() == np.array(pt_min_eigenvalues(state)).tobytes()
 
 
 def _coupled_count(mat: np.ndarray) -> int:
@@ -180,7 +191,7 @@ def _deflated_dense(mat: np.ndarray) -> float:
     rows, cols = np.nonzero(mat)
     off = rows != cols
     rows, cols = rows[off], cols[off]
-    return _deflated_min(mat.diagonal(), rows, cols, mat[rows, cols])
+    return _deflated_mins(mat.diagonal(), rows[None], cols[None], mat[rows, cols])[0]
 
 
 def test_deflated_min_eigenvalue_matches_the_full_solve():
