@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_size,
-                    _party_text)
+from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_same_n,
+                    _check_size, _largest_label, _number_text, _parties_text, _party_text)
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
@@ -80,21 +80,16 @@ def _lowest_label(unions: Sequence[int], blockers: int) -> int:
     return unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
 
 
-def _check_grouping(n: int, grouping: Grouping) -> None:
-    if grouping.n != n:
-        raise ValueError(f"grouping is for n={grouping.n}, the input has n={n}")
-
-
 def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
     """Indices of groups c and d in `grouping`."""
-    _check_grouping(n, grouping)
+    _check_same_n(n, grouping.n, "grouping", "the input")
     groups = grouping.groups
     # each member is checked before it is hashed: True or 2.0 would find group {1} or {2}
     cset = frozenset(map(_check_party, c))
     dset = frozenset(map(_check_party, d))
     for name, s in (("c", cset), ("d", dset)):
         if s not in groups:
-            raise ValueError(f"{name}={sorted(s)} is not a group of {grouping}")
+            raise ValueError(f"{name}={_parties_text(s)} is not a group of {grouping}")
     if cset == dset:
         raise ValueError(
             f"c and d are the same group {_party_text(cset)}; "
@@ -209,7 +204,7 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     with the lowest group-index bitmask).  The report depends on the
     indicator vector alone, as every verdict does.
     """
-    _check_grouping(state.n, grouping)
+    _check_same_n(state.n, grouping.n, "grouping", "the input")
     unions, inside = _union_table(grouping.masks)
     zero = _zero_unions(state.indicator_vector(), unions)
     return _report(grouping, unions, [zero & s for s in inside], ({0: None}, {}))
@@ -346,12 +341,8 @@ class Clauses:
         return value & ones == ones and all(value & z != z for z in self.zeros)
 
     def __call__(self, spec: Specification) -> bool:
-        self._check_n(spec.n)
+        _check_same_n(spec.n, self.n, "this requirement", "the specification")
         return self.holds(spec.to_int())
-
-    def _check_n(self, n: int) -> None:
-        if n != self.n:
-            raise ValueError(f"this requirement is defined for n={self.n}, not n={n}")
 
 
 def _label_set(unions: Sequence[int], inside: Sequence[int], i: int, j: int) -> int:
@@ -380,7 +371,7 @@ def _compile(
         ones |= _label_set(*_union_table(grouping.masks), i, j)
     zeros = [1 << (m - 1) for m in zero_labels]
     for grouping in silent:
-        _check_grouping(n, grouping)
+        _check_same_n(n, grouping.n, "grouping", "the input")
         unions, inside = _union_table(grouping.masks)
         zeros += [_label_set(unions, inside, i, j) for i, j in combinations(range(len(inside)), 2)]
     assert ones, "a requirement without a demanded activation does not imply entanglement"
@@ -440,16 +431,14 @@ def search_specifications(
     _check_size(n, 2, "search")
     _check_size(max_n, 2, "search", "max_n")
     if isinstance(requirement, Clauses):
-        requirement._check_n(n)
+        _check_same_n(n, requirement.n, "this requirement", "the search")
         test = requirement.holds
     else:
         def test(value: int) -> bool:
             return requirement(Specification.from_int(n, value))
     if n > max_n:
-        labels = (1 << (n - 1)) - 1
-        raise ValueError(
-            f"searching n={n} means 2**{labels} candidates; pass max_n={n} to confirm"
-        )
+        raise ValueError(f"searching n={_number_text(n)} means 2**{_largest_label(n)} candidates; "
+                         f"pass max_n={_number_text(n)} to confirm")
     for value in range((1 << ((1 << (n - 1)) - 1)) - 1, -1, -1):
         if test(value):
             return Specification.from_int(n, value)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .model import (FamilyState, Specification, Splitting, _build_labels, _check_size, _is_finite,
-                    _is_real)
+from .model import (FamilyState, Specification, Splitting, _build_labels, _check_nonnegative,
+                    _check_size, _is_real, _number_text)
 
 # each pattern's parameters, and its party count when the pattern fixes one
 _CATALOG = {"I": ({"j"}, None), "II": ({"band"}, None), "III": ({"group"}, None),
@@ -35,8 +35,7 @@ def from_specification(
     """
     if not (_is_real(margin) and 0.0 < margin <= 1.0):
         raise ValueError(f"margin must lie in (0, 1], got {margin!r}")
-    if not (_is_real(lam0_minus) and _is_finite(lam0_minus) and lam0_minus >= 0.0):
-        raise ValueError(f"lam0_minus must be finite and nonnegative, got {lam0_minus!r}")
+    _check_nonnegative(lam0_minus, "lam0_minus")
     high = 0.5 * (1.0 + margin)
     lam = tuple(0.0 if b else high for b in spec.bits)
     state = FamilyState.from_unnormalized(spec.n, lam0_minus + 1.0, lam0_minus, lam)
@@ -96,7 +95,7 @@ def example_pattern(
         _check_size(j, 1, "pattern", "j")
         top = n - 1 if key == "I" else n // 2
         if not 1 <= j <= top:
-            raise ValueError(f"j must lie in [1, {top}] for n={n}")
+            raise ValueError(f"j must lie in [1, {_number_text(top)}] for n={_number_text(n)}")
 
     if key == "III":
         labels = {Splitting.from_side(n, group).mask}

@@ -19,10 +19,11 @@ plain int, never True or 1.0, and in 1..n when given n),
 a splitting label, `_check_group_masks` for a partition into groups,
 `_table_size` for the 2^(n-1) - 1 entries of a label table,
 `_build_labels` for a constructor that walks them (n up to
-BUILD_PARTY_CAP), and `_is_real` with `_is_finite` for a weight or any
-other real parameter.  Errors show a party count or a party number
-through `_number_text`, so one past the interpreter's digit limit is
-named by its size.
+BUILD_PARTY_CAP), `_check_same_n` for two inputs that must share a
+party count, `_is_real` with `_is_finite` for a weight or any other real
+parameter, and `_check_nonnegative` for a finite nonnegative one.  Errors
+show a number through `_number_text` (an int past the interpreter's digit
+limit by its sign and size) and any other value through `_value_text`.
 `FamilyState._indicators` is the one indicator decision.
 """
 from __future__ import annotations
@@ -78,7 +79,13 @@ def _number_text(value: object) -> str:
     try:
         return str(value)
     except ValueError:
-        return f"<{type(value).__name__} of {int(value).bit_length()} bits>"
+        sign = "-" if value < 0 else ""
+        return f"{sign}<{type(value).__name__} of {int(value).bit_length()} bits>"
+
+
+def _value_text(value: object) -> str:
+    """A caller's value as an error shows it: an int through `_number_text`, else its repr."""
+    return _number_text(value) if type(value) is int else repr(value)
 
 
 def _parties_text(parties: Iterable[int]) -> str:
@@ -89,11 +96,16 @@ def _parties_text(parties: Iterable[int]) -> str:
 def _check_size(n: object, least: int, what: str, name: str = "n") -> int:
     """A count, by default the party count n, must be a plain int of at least `least`."""
     if type(n) is not int or n < least:
-        shown = _number_text(n) if type(n) is int else repr(n)
-        raise ValueError(
-            f"a {what} needs an integer {name} of at least {least}, got {name}={shown}"
-        )
+        raise ValueError(f"a {what} needs an integer {name} of at least {least}, "
+                         f"got {name}={_value_text(n)}")
     return n
+
+
+def _check_same_n(n: int, other: int, what: str, against: str) -> None:
+    """`what`, made for `other` parties, must match `against`, which has n."""
+    if other != n:
+        raise ValueError(f"{what} is for n={_number_text(other)}, "
+                         f"{against} has n={_number_text(n)}")
 
 
 def _check_grouping_size(n: object) -> int:
@@ -201,11 +213,6 @@ class Splitting:
         return frozenset(range(1, self.n + 1)) - self.side_b
 
     def __str__(self) -> str:
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        # computed once per instance: a sweep's reports share their splittings
         fmt = lambda side: "".join(f"A{p}" for p in sorted(side))
         return f"({fmt(self.side_a)})-({fmt(self.side_b)})"
 
@@ -289,6 +296,12 @@ def _is_finite(value: numbers.Real) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _check_nonnegative(value: object, name: str) -> None:
+    """A real parameter such as a tolerance must be a finite, nonnegative real."""
+    if not (_is_real(value) and _is_finite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {_value_text(value)}")
 
 
 def validate(state: FamilyState) -> list[str]:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FamilyState, Splitting, _check_party_set, _is_finite, _is_real
+from .model import FamilyState, Splitting, _check_nonnegative, _check_party_set, _check_same_n
 
 DENSE_PARTY_CAP = 8
 REPORT_PARTY_CAP = 16
@@ -210,8 +210,7 @@ def partial_transpose(mat: np.ndarray, parties) -> np.ndarray:
 def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
     """Smallest eigenvalue after transposing one side of the splitting."""
     n = _party_count(mat)
-    if split.n != n:
-        raise ValueError(f"splitting is for n={split.n}, matrix has n={n}")
+    _check_same_n(n, split.n, "splitting", "matrix")
     rows, cols = np.nonzero(mat)
     values = mat[rows, cols]
     _check_finite(rows, cols, values)
@@ -250,8 +249,7 @@ def ppt_agreement_report(state: FamilyState, tol: float = 1e-10) -> AgreementRep
     The matrix is never formed: the diagonal stays put, and only the
     nonzero off-diagonal entries are mapped, for every splitting at once.
     """
-    if not (_is_real(tol) and _is_finite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    _check_nonnegative(tol, "tolerance")
     _check_cap(state.n, REPORT_PARTY_CAP, "agreement report")
     rows, cols, values = _projector_entries(state)
     _check_finite(rows, cols, values)

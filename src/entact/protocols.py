@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
-                    _check_party_set, _party_text, party_bitmask)
+                    _check_party_set, _check_same_n, _party_text, _value_text, party_bitmask)
 
 AMPLIFY_CAP = 64
 
@@ -31,7 +31,7 @@ def amplify(state: FamilyState, m: int) -> FamilyState:
     while margins widen, which is what makes helper measurements safe.
     """
     if type(m) is not int or m < 1:
-        raise ValueError(f"amplification power must be a positive integer, got {m!r}")
+        raise ValueError(f"amplification power must be a positive integer, got {_value_text(m)}")
     if m == 1:
         return state
     half = 0.5 * state.delta
@@ -136,8 +136,7 @@ def project_to_effective_pair(state: FamilyState, split: Splitting) -> FamilySta
     measure_out_party's result it is unnormalized, and its one label is
     distillable exactly when the splitting is.
     """
-    if split.n != state.n:
-        raise ValueError(f"splitting is for n={split.n}, state has n={state.n}")
+    _check_same_n(state.n, split.n, "splitting", "state")
     return FamilyState(2, state.lam0_plus, state.lam0_minus, (state.coefficient(split.mask),))
 
 

@@ -434,7 +434,7 @@ def test_search_respects_size_guard():
     with pytest.raises(ValueError):
         search_specifications(1, lambda spec: True)
     # a compiled requirement names its own party count before the guard
-    with pytest.raises(ValueError, match="defined for n=5, not n=6"):
+    with pytest.raises(ValueError, match="^this requirement is for n=5, the search has n=6$"):
         search_specifications(6, BUILTIN_REQUIREMENTS["any-two"](), max_n=6)
 
 

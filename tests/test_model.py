@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,23 @@ from entact import (
     Grouping,
     Specification,
     Splitting,
+    amplify,
+    any_two_activation_requirement,
     example_pattern,
     example_state,
     from_specification,
+    grouping_report,
     iter_set_partitions,
+    necessary_distillable,
     parties_from_bitmask,
     party_bitmask,
+    project_to_effective_pair,
     random_family_state,
     search_specifications,
     validate,
 )
 from entact.model import GROUPING_PARTY_CAP
+from entact.oracle import min_pt_eigenvalue
 from reference import ghz_basis_vector, separating_splittings, straddles
 
 
@@ -91,7 +98,7 @@ def test_splitting_sides_and_bits():
         s.bit(5)
 
 
-def test_splitting_text_is_cached_without_changing_identity():
+def test_splitting_text_leaves_identity_unchanged():
     for n in range(2, 7):
         for mask in range(1, 1 << (n - 1)):
             split = Splitting(n, mask)
@@ -100,7 +107,6 @@ def test_splitting_text_is_cached_without_changing_identity():
             side_a = [p for p in range(1, n + 1) if p not in side_b]
             text = "({})-({})".format(*("".join(f"A{p}" for p in side) for side in (side_a, side_b)))
             assert str(split) == text
-            assert str(split) is str(split)
             assert (repr(split), hash(split)) == before
             assert split == Splitting(n, mask)
             assert Splitting(n, mask) == split
@@ -513,7 +519,7 @@ def test_a_splitting_of_a_huge_n_is_named_by_its_size():
     message = f"splitting label 0 outside [1, (2^{HUGE_TEXT} - 1)] for n={HUGE_TEXT}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Splitting(HUGE, 0)
-    message = f"a splitting needs an integer n of at least 2, got n={HUGE_TEXT}"
+    message = f"a splitting needs an integer n of at least 2, got n=-{HUGE_TEXT}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Splitting(-HUGE, 1)
     # ordinary counts keep their digits
@@ -558,7 +564,7 @@ def test_groupings_of_ten_thousand_single_parties_are_built():
     assert joined.masks[0] == 1 | 1 << (n - 1)
 
 
-@pytest.mark.parametrize("mask, shown", [(-1, "-1"), (-HUGE, HUGE_TEXT)], ids=["minus-one", "huge"])
+@pytest.mark.parametrize("mask, shown", [(-1, "-1"), (-HUGE, f"-{HUGE_TEXT}")], ids=["minus-one", "huge"])
 def test_a_negative_party_bitmask_is_refused(mask, shown):
     with pytest.raises(ValueError, match=f"^{re.escape(f'party bitmask {shown} is negative')}$"):
         parties_from_bitmask(mask)
@@ -571,5 +577,47 @@ def test_a_negative_party_bitmask_is_refused(mask, shown):
      f"groups must partition 1..2; unknown [{HUGE_TEXT}]"),
 ], ids=["bit", "from_side", "from_sets"])
 def test_a_party_number_past_the_digit_limit_is_named_by_its_size(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+VI_GROUPING = Grouping.from_masks(4, (1, 2, 12))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: necessary_distillable(example_state("VI"), VI_GROUPING, {HUGE}, {2}),
+     f"c=[{HUGE_TEXT}] is not a group of 1|2|3,4"),
+    (lambda: grouping_report(example_state("VI"), VI_GROUPING).pair({1}, {HUGE}),
+     f"d=[{HUGE_TEXT}] is not a group of 1|2|3,4"),
+    (lambda: amplify(example_state("VI"), -HUGE),
+     f"amplification power must be a positive integer, got -{HUGE_TEXT}"),
+    (lambda: example_pattern("IV", HUGE, j=HUGE),
+     f"j must lie in [1, <int of 16609 bits>] for n={HUGE_TEXT}"),
+    (lambda: search_specifications(10**6, bool),
+     "searching n=1000000 means 2**(2^999999 - 1) candidates; pass max_n=1000000 to confirm"),
+    (lambda: search_specifications(10**20, bool),
+     f"searching n={10**20} means 2**(2^{10**20 - 1} - 1) candidates; pass max_n={10**20} to confirm"),
+    (lambda: search_specifications(HUGE, any_two_activation_requirement()),
+     f"this requirement is for n=5, the search has n={HUGE_TEXT}"),
+], ids=["pair-c", "report-pair-d", "amplify", "pattern-j", "search-million", "search-1e20",
+        "search-requirement"])
+def test_a_huge_count_in_a_message_is_named_by_its_size(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: grouping_report(example_state("VI"), Grouping.all_separate(5)),
+     "grouping is for n=5, the input has n=4"),
+    (lambda: necessary_distillable(example_state("V", 5), VI_GROUPING, {1}, {2}),
+     "grouping is for n=4, the input has n=5"),
+    (lambda: project_to_effective_pair(example_state("VI"), Splitting(3, 1)),
+     "splitting is for n=3, state has n=4"),
+    (lambda: min_pt_eigenvalue(np.eye(16), Splitting(3, 1)),
+     "splitting is for n=3, matrix has n=4"),
+    (lambda: any_two_activation_requirement()(Specification.constant(4, 1)),
+     "this requirement is for n=5, the specification has n=4"),
+], ids=["report", "pair", "effective-pair", "matrix", "requirement-call"])
+def test_every_party_count_mismatch_names_both_counts(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import re
 import shlex
@@ -117,3 +118,24 @@ def test_importing_the_package_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "False\n"
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # the benchmark harness wraps these names; a deletion would otherwise surface only in its run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, owner, attr, _ in tracing.LAYER_FUNCTIONS:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if cls:
+            obj = getattr(obj, cls, None)
+        if not callable(getattr(obj, attr, None)):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
+    # the traced search hands the requirement over as a plain callable
+    requirement = entact.example_vii_requirement()
+    found = entact.search_specifications(5, lambda spec: requirement(spec))
+    assert found == entact.example_pattern("VII")
+
