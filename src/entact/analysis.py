@@ -6,12 +6,13 @@ The answer needs only the indicator vector.  A splitting blocks the pair
 when it puts c opposite d, carries indicator 0, and is straddled by no
 group; the pair is distillable exactly when no splitting blocks it.
 
-Every verdict reads one table, built by `_union_table`: the splittings
-no group straddles, which are the unions of the groups lacking party
-n, and for each group the unions that hold it.  A union separates two
-groups exactly when it holds one of them, so `grouping_report`, the
-single-pair verdicts and the clauses of `_compile` are all reads of
-the table of their grouping.  A sweep builds one table per partition
+Every verdict reads one table, built by `model._union_table`: the
+splittings no group straddles, which are the unions of the groups
+lacking party n, and for each group the unions that hold it.  A union
+separates two groups exactly when it holds one of them, so
+`grouping_report`, the single-pair verdicts and the clauses of
+`_compile` are all reads of the table of their grouping, which each
+Grouping builds once and holds.  A sweep builds one table per partition
 of parties 1..n-1, with party n alone, and shares it across the
 placements of party n: when party n joins group i, the grouping's
 unions are those without group i, so masking them out of the shared
@@ -27,7 +28,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_same_n,
-                    _check_size, _largest_label, _number_text, _parties_text, _party_text)
+                    _check_size, _largest_label, _number_text, _parties_text, _party_text,
+                    _union_table)
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
@@ -37,33 +39,6 @@ _SWEEP_GUARD = 10  # the largest party count a sweep takes unless asked for more
 
 # Verdicts a sweep's memo holds before it starts afresh (the largest n = 8 sweep seen: 8,231).
 _MEMO_CAP = 1 << 14
-
-
-def _union_table(group_masks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The splittings no group straddles, and which of them hold each group.
-
-    Such a splitting has a union of groups on each side, and its label is
-    the side without party n: a union of the groups lacking party n, which
-    are all groups but the one with the largest mask.  Union s joins
-    those groups at the bits of s; with the groups in ascending mask
-    order its label grows with s, since disjoint masks compare by their
-    highest party.  Returns (unions, inside): unions[s] is the label of
-    union s (unions[0] = 0 is no splitting), and bit s of inside[i] is
-    set when union s holds group i.  Union s separates groups i and j
-    exactly at the bits of inside[i] ^ inside[j].
-    """
-    free = sorted(range(len(group_masks)), key=group_masks.__getitem__)[:-1]
-    # union s holds the group at position p of free when bit p of s is set:
-    # runs of 2^p clear and 2^p set bits
-    full = (1 << (1 << len(free))) - 1
-    unions = [0]
-    inside = [0] * len(group_masks)
-    for i in free:
-        g = group_masks[i]
-        run = len(unions)
-        unions += [u | g for u in unions]
-        inside[i] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    return unions, inside
 
 
 def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
@@ -101,7 +76,7 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
 def _pair_label(state: FamilyState | Specification, grouping: Grouping, c, d) -> int:
     """Lowest label blocking groups c and d, or 0 when the pair distills."""
     i, j = _resolve_pair(state.n, grouping, c, d)
-    unions, inside = _union_table(grouping.masks)
+    unions, inside = grouping._unions
     zero = _zero_unions(state.indicator_vector(), unions)
     return _lowest_label(unions, zero & (inside[i] ^ inside[j]))
 
@@ -205,7 +180,7 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     indicator vector alone, as every verdict does.
     """
     _check_same_n(state.n, grouping.n, "grouping", "the input")
-    unions, inside = _union_table(grouping.masks)
+    unions, inside = grouping._unions
     zero = _zero_unions(state.indicator_vector(), unions)
     return _report(grouping, unions, [zero & s for s in inside], ({0: None}, {}))
 
@@ -368,11 +343,11 @@ def _compile(
     ones = 0
     for grouping, c, d in activate:
         i, j = _resolve_pair(n, grouping, c, d)
-        ones |= _label_set(*_union_table(grouping.masks), i, j)
+        ones |= _label_set(*grouping._unions, i, j)
     zeros = [1 << (m - 1) for m in zero_labels]
     for grouping in silent:
         _check_same_n(n, grouping.n, "grouping", "the input")
-        unions, inside = _union_table(grouping.masks)
+        unions, inside = grouping._unions
         zeros += [_label_set(unions, inside, i, j) for i, j in combinations(range(len(inside)), 2)]
     assert ones, "a requirement without a demanded activation does not imply entanglement"
     return Clauses(n, ones, tuple(zeros))

@@ -32,7 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 NORMALIZATION_TOL = 1e-12
 
@@ -244,7 +244,11 @@ class FamilyState:
         cls, n: int, lam0_plus: float, lam0_minus: float, lam: Iterable[float]
     ) -> "FamilyState":
         lam = tuple(lam)
-        total = lam0_plus + lam0_minus + 2.0 * sum(lam)
+        try:
+            total = lam0_plus + lam0_minus + 2.0 * sum(lam)
+        except OverflowError:  # an int weight beyond the float range
+            raise ValueError("total weight must be positive and finite, "
+                             "got an int weight beyond the float range") from None
         if not 0.0 < total < math.inf:
             raise ValueError(f"total weight must be positive and finite, got {total}")
         return cls(n, lam0_plus / total, lam0_minus / total, tuple(v / total for v in lam))
@@ -363,14 +367,15 @@ def _check_group_masks(n: int, masks: tuple[int, ...]) -> None:
     union = low = 0
     for m in masks:
         if type(m) is not int or m < 0:
-            raise ValueError(f"group mask {m!r} is not a nonnegative integer")
+            raise ValueError(f"group mask {_value_text(m)} is not a nonnegative integer")
         if not m:
             raise ValueError("groups must be non-empty")
         if union & m:
             raise ValueError(f"groups overlap on parties {sorted(parties_from_bitmask(union & m))}")
         if m & -m < low:
             raise ValueError(
-                f"groups must come in ascending order of their lowest member, got masks {list(masks)}"
+                "groups must come in ascending order of their lowest member, "
+                f"got masks [{', '.join(map(_value_text, masks))}]"
             )
         low = m & -m
         union |= m
@@ -378,12 +383,41 @@ def _check_group_masks(n: int, masks: tuple[int, ...]) -> None:
         raise _cover_error(n, union, parties_from_bitmask(union >> n << n))
 
 
+def _union_table(group_masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The splittings no group straddles, and which of them hold each group.
+
+    Such a splitting has a union of groups on each side, and its label is
+    the side without party n: a union of the groups lacking party n, which
+    are all groups but the one with the largest mask.  Union s joins
+    those groups at the bits of s; with the groups in ascending mask
+    order its label grows with s, since disjoint masks compare by their
+    highest party.  Returns (unions, inside): unions[s] is the label of
+    union s (unions[0] = 0 is no splitting), and bit s of inside[i] is
+    set when union s holds group i.  Union s separates groups i and j
+    exactly at the bits of inside[i] ^ inside[j].
+    """
+    free = sorted(range(len(group_masks)), key=group_masks.__getitem__)[:-1]
+    # union s holds the group at position p of free when bit p of s is set:
+    # runs of 2^p clear and 2^p set bits
+    full = (1 << (1 << len(free))) - 1
+    unions = [0]
+    inside = [0] * len(group_masks)
+    for i in free:
+        g = group_masks[i]
+        run = len(unions)
+        unions += [u | g for u in unions]
+        inside[i] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    return unions, inside
+
+
 @dataclass(frozen=True)
 class Grouping:
     """A set partition of the parties into cooperating groups.
 
     `groups` is kept in canonical order, by smallest member; `masks`
-    holds the bitmask of each group in the same order.
+    holds the bitmask of each group in the same order.  `_unions`, the
+    union table every verdict on the grouping reads, is built on first
+    use and kept, as `FamilyState._indicators` is.
     """
 
     n: int
@@ -443,6 +477,12 @@ class Grouping:
         taken = set().union(*groups) if groups else set()
         groups.extend(frozenset({i}) for i in range(1, n + 1) if i not in taken)
         return cls(n, tuple(groups))
+
+    @cached_property
+    def _unions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The union table of the groups, `_union_table`, built once per instance."""
+        unions, inside = _union_table(self.masks)
+        return tuple(unions), tuple(inside)
 
     def group_of(self, party: int) -> frozenset[int]:
         bit = 1 << (_check_party(party, self.n) - 1)

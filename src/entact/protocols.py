@@ -8,14 +8,39 @@ two routes can be compared there.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from operator import add
+from typing import Callable, Iterable
 
 from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
                     _check_party_set, _check_same_n, _party_text, _value_text, party_bitmask)
 
 AMPLIFY_CAP = 64
+
+# The index tables of the moves, keyed by (builder, n, key), each an array('I') of 4-byte
+# indices.  They depend only on small integers, so each is built once.  The cache starts
+# afresh when a new table would take it past _TABLE_BUDGET indices (1 MiB of index data);
+# a table larger than that is built on every call and never kept.
+_TABLE_BUDGET = 1 << 18
+_tables: dict[tuple, array] = {}
+_held = 0
+
+
+def _table(build: Callable[[int, object], Iterable[int]], n: int, key: object) -> array:
+    """The index table build(n, key), from the cache when it is there."""
+    global _held
+    table = _tables.get((build, n, key))
+    if table is None:
+        table = array("I", build(n, key))
+        if _held + len(table) > _TABLE_BUDGET:
+            _tables.clear()
+            _held = 0
+        if len(table) <= _TABLE_BUDGET:
+            _tables[build, n, key] = table
+            _held += len(table)
+    return table
 
 
 class DegenerateStateError(ValueError):
@@ -55,14 +80,15 @@ def _check_measurable(state: FamilyState, party: int) -> None:
         )
 
 
-def _parent_pairs(n: int, party: int) -> list[tuple[int, int]]:
-    """The lam indices (parent 0, parent 1) of each child label left by measuring `party`.
+def _low_parents(n: int, party: int) -> list[int]:
+    """The lam index of parent 0 of each child label left by measuring `party`.
 
     Parent 0 of child label k is the k-th label with the bit of `party`
-    clear, and parent 1 is that label with the bit set.
+    clear, and parent 1 is that label with the bit set, so its lam index
+    is parent 0's plus that bit.
     """
     bit = 1 << (party - 1)
-    return [(z - 1, z - 1 + bit) for z in range(1, 1 << (n - 1)) if not z & bit]
+    return [z - 1 for z in range(1, 1 << (n - 1)) if not z & bit]
 
 
 def required_amplification(state: FamilyState, party: int) -> int:
@@ -77,7 +103,9 @@ def required_amplification(state: FamilyState, party: int) -> int:
     _check_measurable(state, party)
     half = 0.5 * state.delta
     lam, ind = state.lam, state.indicator_vector()
-    pairs = [(lam[a], lam[b]) for a, b in _parent_pairs(state.n, party) if ind[a] and ind[b]]
+    bit = 1 << (party - 1)
+    pairs = [(lam[a], lam[a + bit]) for a in _table(_low_parents, state.n, party)
+             if ind[a] and ind[a + bit]]
     for m in range(1, AMPLIFY_CAP + 1):
         target = half ** m
         if all(a ** m + b ** m < target for a, b in pairs):
@@ -97,13 +125,31 @@ def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     are preserved exactly; no renormalization happens.  The merge is
     exact and does no amplification: to keep children of two
     distillable parents distillable, amplify by required_amplification
-    first, as distill_pipeline does.
+    first, as distill_pipeline does.  The parent indices are one table
+    per (n, party), shared with required_amplification and kept in the
+    moves' index cache, which holds at most _TABLE_BUDGET 4-byte
+    indices (1 MiB) in all.
     """
     _check_measurable(state, party)
     lam = state.lam
-    absorbed = lam[(1 << (party - 1)) - 1]
-    merged = tuple([lam[a] + lam[b] for a, b in _parent_pairs(state.n, party)])
+    bit = 1 << (party - 1)
+    absorbed = lam[bit - 1]
+    low = _table(_low_parents, state.n, party)
+    # parent 1 of each child sits `bit` places after parent 0
+    merged = tuple(map(add, map(lam.__getitem__, low), map(lam[bit:].__getitem__, low)))
     return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, merged)
+
+
+def _join_sources(n: int, gmask: int) -> list[int]:
+    """The lam index each label reads under the join of `gmask`.
+
+    A label the group does not straddle reads its own; one it straddles
+    reads one past the end, where join_povm puts a zero.
+    """
+    full = (1 << n) - 1
+    end = (1 << (n - 1)) - 1
+    return [end if gmask & label and gmask & (full ^ label) else label - 1
+            for label in range(1, end + 1)]
 
 
 def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
@@ -114,16 +160,15 @@ def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
     the rest, corners included, keep their coefficients before
     renormalizing.  A group member measured later therefore merges each
     label with a zero, and only the group's last member needs
-    amplification.
+    amplification.  Which labels the group straddles is one table per
+    (n, group mask), kept in the moves' index cache (at most
+    _TABLE_BUDGET 4-byte indices, 1 MiB, in all).
     """
     gmask = party_bitmask(_check_party_set(state.n, parties, "group"))
     if gmask.bit_count() < 2:
         raise ValueError("joining needs at least two parties")
-    full = (1 << state.n) - 1
-    lam = tuple(
-        0.0 if gmask & label and gmask & (full ^ label) else v
-        for label, v in enumerate(state.lam, start=1)
-    )
+    padded = state.lam + (0.0,)
+    lam = tuple(map(padded.__getitem__, _table(_join_sources, state.n, gmask)))
     return FamilyState.from_unnormalized(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
@@ -140,22 +185,29 @@ def project_to_effective_pair(state: FamilyState, split: Splitting) -> FamilySta
     return FamilyState(2, state.lam0_plus, state.lam0_minus, (state.coefficient(split.mask),))
 
 
+def _relabel_sources(n: int, order: tuple[int, ...]) -> list[int]:
+    """The old lam index of each new label under `order`."""
+    full, anchor = (1 << n) - 1, 1 << (n - 1)
+    # patterns[label] is the old pattern of a new label, built a party at a time
+    patterns = [0]
+    for q in order[:-1]:
+        patterns += [p | 1 << (q - 1) for p in patterns]
+    return [(p ^ full if p & anchor else p) - 1 for p in patterns[1:]]
+
+
 def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     """Relabel parties so that new party i is old party order[i-1].
 
     Pure bookkeeping.  Whenever a relabeled pattern puts the anchor
     party on the wrong side the whole pattern is complemented; that maps
     basis pairs to basis pairs and leaves the corner weights in place.
+    The old label of each new label is one table per (n, order), kept
+    in the moves' index cache (at most _TABLE_BUDGET 4-byte indices,
+    1 MiB, in all).
     """
-    n = state.n
-    order = _check_order(n, order)
-    full, anchor = (1 << n) - 1, 1 << (n - 1)
-    # patterns[label] is the old pattern of a new label, built a party at a time
-    patterns = [0]
-    for q in order[:-1]:
-        patterns += [p | 1 << (q - 1) for p in patterns]
-    lam = tuple(state.lam[(p ^ full if p & anchor else p) - 1] for p in patterns[1:])
-    return FamilyState(n, state.lam0_plus, state.lam0_minus, lam)
+    lam = tuple(map(state.lam.__getitem__,
+                    _table(_relabel_sources, state.n, _check_order(state.n, order))))
+    return FamilyState(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
 @dataclass(frozen=True)

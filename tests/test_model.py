@@ -581,6 +581,28 @@ def test_a_party_number_past_the_digit_limit_is_named_by_its_size(call, message)
         call()
 
 
+@pytest.mark.parametrize("masks, message", [
+    ((-HUGE,), f"group mask -{HUGE_TEXT} is not a nonnegative integer"),
+    ((1 << 20000, 1), "groups must come in ascending order of their lowest member, "
+                      "got masks [<int of 20001 bits>, 1]"),
+    # ordinary masks print as before
+    ((1, 2.0, 12), "group mask 2.0 is not a nonnegative integer"),
+    ((2, True, 12), "group mask True is not a nonnegative integer"),
+    ((2, 1, 12), "groups must come in ascending order of their lowest member, got masks [2, 1, 12]"),
+    ((2, 1, "x"), "groups must come in ascending order of their lowest member, got masks [2, 1, 'x']"),
+], ids=["huge-negative", "huge-order", "float", "bool", "order", "order-then-text"])
+def test_a_group_mask_is_named_by_its_size(masks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Grouping.from_masks(4, masks)
+
+
+@pytest.mark.parametrize("weights", [(-HUGE, 0, (0,)), (10**400, 0, (0,)), (0.5, 0.0, (10**400,))],
+                         ids=["huge-negative-corner", "corner-past-float", "label-past-float"])
+def test_an_int_weight_past_the_float_range_is_no_positive_finite_total(weights):
+    with pytest.raises(ValueError, match="^total weight must be positive and finite, got "):
+        FamilyState.from_unnormalized(2, *weights)
+
+
 VI_GROUPING = Grouping.from_masks(4, (1, 2, 12))
 
 
