@@ -16,10 +16,13 @@ Grouping builds once and holds.  A sweep builds one table per partition
 of parties 1..n-1, with party n alone, and shares it across the
 placements of party n: when party n joins group i, the grouping's
 unions are those without group i, so masking them out of the shared
-table gives the same signatures in the same label order.  Groups
-distill exactly when the same indicator-0 unions hold both:
-distillability within a grouping is an equivalence, whose classes are
-the GHZ-capable collections.
+table gives the same signatures in the same label order.  Those
+tables, the masks and the Grouping of each placement depend on n
+alone: they form the sweep's skeleton, which the first sweep of a
+party count builds and every later one reuses from `_skeletons`, up to
+`_SKELETON_BUDGET` groupings in all.  Groups distill exactly when the
+same indicator-0 unions hold both: distillability within a grouping is
+an equivalence, whose classes are the GHZ-capable collections.
 """
 from __future__ import annotations
 
@@ -40,6 +43,18 @@ _SWEEP_GUARD = 10  # the largest party count a sweep takes unless asked for more
 # Verdicts a sweep's memo holds before it starts afresh (the largest n = 8 sweep seen: 8,231).
 _MEMO_CAP = 1 << 14
 
+# One head of a sweep's skeleton: the union table (unions, inside) of a partition of parties
+# 1..n-1 with party n alone, and per placement of party n its group count k, the mask keeping
+# the grouping's own unions, its Grouping and the index pairs of k groups.
+_Head = tuple[list[int], list[int], list[tuple[int, int, Grouping, tuple[tuple[int, int], ...]]]]
+
+# The skeletons of past sweeps, keyed by (n, blocks); they depend on the party count alone.
+# The cache starts afresh when a new skeleton would take it past _SKELETON_BUDGET groupings
+# (an n = 8 sweep has 4,140); a larger skeleton is built on every sweep and never kept.
+_SKELETON_BUDGET = 1 << 13
+_skeletons: dict[tuple[int, int | None], list[_Head]] = {}
+_held = 0
+
 
 def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
     """Bitmask of the unions with indicator 0: the splittings that can block a pair."""
@@ -48,11 +63,6 @@ def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
         if not indicator[unions[s] - 1]:
             zero |= 1 << s
     return zero
-
-
-def _lowest_label(unions: Sequence[int], blockers: int) -> int:
-    """Label of the lowest union at the bits of `blockers`, or 0 when there is none."""
-    return unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
 
 
 def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
@@ -74,11 +84,21 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
 
 
 def _pair_label(state: FamilyState | Specification, grouping: Grouping, c, d) -> int:
-    """Lowest label blocking groups c and d, or 0 when the pair distills."""
+    """Lowest label blocking groups c and d, or 0 when the pair distills.
+
+    Reads the separating unions lowest first and stops at the first with indicator 0.
+    """
     i, j = _resolve_pair(state.n, grouping, c, d)
     unions, inside = grouping._unions
-    zero = _zero_unions(state.indicator_vector(), unions)
-    return _lowest_label(unions, zero & (inside[i] ^ inside[j]))
+    indicator = state.indicator_vector()
+    separating = inside[i] ^ inside[j]
+    while separating:
+        low = separating & -separating
+        label = unions[low.bit_length() - 1]
+        if not indicator[label - 1]:
+            return label
+        separating ^= low
+    return 0
 
 
 def necessary_distillable(state: FamilyState | Specification, grouping: Grouping, c, d) -> bool:
@@ -134,12 +154,14 @@ class GroupingReport:
 
 
 def _report(
-    grouping: Grouping, unions: Sequence[int], sig: Sequence[int], memo: _Memo
+    grouping: Grouping, unions: Sequence[int], sig: Sequence[int],
+    index_pairs: Iterable[tuple[int, int]], memo: _Memo,
 ) -> GroupingReport:
     """The report of `grouping` from its signatures over the union table `unions`.
 
     sig[i] is the bitmask of the indicator-0 unions holding group i, over
-    a table whose label grows with the union index.  Groups i and j are
+    a table whose label grows with the union index; `index_pairs` are
+    the pairs (i, j), i < j, of its groups in order.  Groups i and j are
     blocked by the lowest union where their signatures differ.  The
     memo's Splitting and PairVerdict objects are reused and extended.
     """
@@ -148,7 +170,7 @@ def _report(
     splits, verdicts = memo
     pairs = []
     linked = False
-    for i, j in combinations(range(len(groups)), 2):
+    for i, j in index_pairs:
         blockers = sig[i] ^ sig[j]
         label = unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
         key = (masks[i], masks[j], label)
@@ -159,12 +181,12 @@ def _report(
             pv = verdicts[key] = PairVerdict(groups[i], groups[j], not label, splits[label])
         pairs.append(pv)
         linked = linked or not label
-    best = 1
-    if linked:
-        classes: dict[int, int] = {}
-        for i, s in enumerate(sig):
-            classes[s] = classes.get(s, 0) | 1 << i
-        best = min(classes.values(), key=lambda c: (-c.bit_count(), c))
+    if not linked:
+        return GroupingReport(grouping, tuple(pairs), groups[:1])
+    classes: dict[int, int] = {}
+    for i, s in enumerate(sig):
+        classes[s] = classes.get(s, 0) | 1 << i
+    best = min(classes.values(), key=lambda c: (-c.bit_count(), c))
     ghz = tuple(g for i, g in enumerate(groups) if best >> i & 1)
     return GroupingReport(grouping, tuple(pairs), ghz)
 
@@ -182,7 +204,8 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     _check_same_n(state.n, grouping.n, "grouping", "the input")
     unions, inside = grouping._unions
     zero = _zero_unions(state.indicator_vector(), unions)
-    return _report(grouping, unions, [zero & s for s in inside], ({0: None}, {}))
+    sig = [zero & s for s in inside]
+    return _report(grouping, unions, sig, combinations(range(len(inside)), 2), ({0: None}, {}))
 
 
 def _grow(n: int, least: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -232,40 +255,86 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
     )
 
 
-def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[GroupingReport]:
-    """Reports of the groupings with `blocks` groups, or of all when None.
+def _build_skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
+    """The heads of a sweep of n parties, in restricted-growth order, one at a time.
 
-    In restricted-growth order.  Walks the partitions of parties
-    1..n-1, the heads; party n is the last digit of the order, so each
-    head's completions follow it: party n joins group 0..m-1, then
-    stands alone as group m.  A head's union table, built with party n
-    alone, serves all m + 1 completions.  Its unions are those of the
-    groups lacking party n, and no union holds group m; when party n
-    joins group i, the grouping's own unions are those without group i,
-    and masking keeps their label order, so every lowest label is the
-    same.  Group i's signature is then 0 in every placement.
+    Walks the partitions of parties 1..n-1, the heads; party n is the
+    last digit of the order, so each head's completions follow it: party
+    n joins group 0..m-1, then stands alone as group m.  A head's union
+    table, built with party n alone, serves all m + 1 completions.  Its
+    unions are those of the groups lacking party n, and no union holds
+    group m; when party n joins group i, the grouping's own unions are
+    those without group i, and masking them out keeps their label order,
+    so every lowest label is the same.  Group i's signature is then 0 in
+    every placement.  Each Grouping is validated here, once.
     """
-    n = state.n
     last = 1 << (n - 1)
-    indicator = state.indicator_vector()
     heads = _grow(n - 1, 1, n - 1) if blocks is None else _grow(n - 1, blocks - 1, blocks)
-    memo: _Memo = ({0: None}, {})
+    pairs: dict[int, tuple[tuple[int, int], ...]] = {}
     for head in heads:
         m = len(head)
         placed = head + (last,)  # party n alone, as group m
         unions, inside = _union_table(placed)
-        zero = _zero_unions(indicator, unions)
+        placements = []
         for i in range(m + 1):
             # joining group i keeps m groups; standing alone, as group m, makes m + 1
             k = m if i < m else m + 1
             if blocks is not None and blocks != k:
                 continue
-            keep = zero & ~inside[i]
-            sig = [keep & s for s in inside[:k]]
+            if k not in pairs:
+                pairs[k] = tuple(combinations(range(k), 2))
             masks = placed[:i] + (placed[i] | last,) + placed[i + 1:k]
+            placements.append((k, ~inside[i], Grouping.from_masks(n, masks), pairs[k]))
+        yield unions, inside, placements
+
+
+def _skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
+    """The heads of a sweep, from `_skeletons` when kept there, else built as they are asked for.
+
+    A skeleton built here is kept once its walk has run to the end, and
+    only when its groupings fit `_SKELETON_BUDGET`; the cache starts
+    afresh when it would pass the budget.  A walk abandoned half way
+    keeps nothing, and a larger skeleton is dropped as it is walked.
+    """
+    global _held
+    kept = _skeletons.get((n, blocks))
+    if kept is not None:
+        yield from kept
+        return
+    built: list[_Head] | None = []
+    count = 0
+    for head in _build_skeleton(n, blocks):
+        if built is not None:
+            count += len(head[2])
+            if count > _SKELETON_BUDGET:
+                built = None
+            else:
+                built.append(head)
+        yield head
+    if built is not None and (n, blocks) not in _skeletons:
+        if _held + count > _SKELETON_BUDGET:
+            _skeletons.clear()
+            _held = 0
+        _skeletons[n, blocks] = built
+        _held += count
+
+
+def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[GroupingReport]:
+    """Reports of the groupings with `blocks` groups, or of all when None.
+
+    In restricted-growth order.  The state enters only here: one mask of
+    indicator-0 unions per head of the skeleton, and the signatures of
+    each placement of party n read off it.
+    """
+    indicator = state.indicator_vector()
+    memo: _Memo = ({0: None}, {})
+    for unions, inside, placements in _skeleton(state.n, blocks):
+        zero = _zero_unions(indicator, unions)
+        zero_in = [zero & s for s in inside]  # each group's indicator-0 unions
+        for k, out, grouping, pairs in placements:
             if len(memo[1]) >= _MEMO_CAP:
                 memo = ({0: None}, {})
-            yield _report(Grouping.from_masks(n, masks), unions, sig, memo)
+            yield _report(grouping, unions, [out & z for z in zero_in[:k]], pairs, memo)
 
 
 def _check_sweep(n: int, guard: object, name: str = "guard") -> None:
@@ -283,12 +352,20 @@ def classify_groupings(
 
     The reports read the indicator vector alone, one union table per
     partition of parties 1..n-1, shared by the placements of party n.
-    The reports of one sweep share their immutable PairVerdict and
-    Splitting objects: a pair of groups that meets the same verdict in
-    many groupings holds one object for all of them, until the memo
-    reaches `_MEMO_CAP` verdicts and starts afresh.  The number of set
-    partitions grows very fast, hence the guard on the party count,
-    checked when the sweep is asked for; raise it knowingly.
+    The tables and the Groupings are the sweep's skeleton: the first
+    sweep of a party count (and of `two_groups_only`) builds it as it
+    reports and keeps it once it runs to its end, and later sweeps
+    reuse it, so their reports hold the same Grouping objects.  Kept
+    skeletons hold at most `_SKELETON_BUDGET` (8,192) groupings in all,
+    2.0 MB for the 4,140 of n = 8; the cache starts afresh when a new
+    skeleton would pass that, and a larger skeleton is walked on every
+    sweep and never kept.  The reports of one sweep share their
+    immutable PairVerdict and Splitting objects: a pair of groups that
+    meets the same verdict in many groupings holds one object for all
+    of them, until the memo reaches `_MEMO_CAP` verdicts and starts
+    afresh.  The number of set partitions grows very fast, hence the
+    guard on the party count, checked when the sweep is asked for;
+    raise it knowingly.
     """
     _check_sweep(state.n, guard)
     return _sweep(state, 2 if two_groups_only else None)

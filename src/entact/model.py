@@ -251,7 +251,7 @@ class FamilyState:
                              "got an int weight beyond the float range") from None
         if not 0.0 < total < math.inf:
             raise ValueError(f"total weight must be positive and finite, got {total}")
-        return cls(n, lam0_plus / total, lam0_minus / total, tuple(v / total for v in lam))
+        return cls(n, lam0_plus / total, lam0_minus / total, tuple([v / total for v in lam]))
 
     @property
     def delta(self) -> float:

@@ -284,6 +284,91 @@ def test_classify_groupings_guard():
     assert head.grouping.groups == (frozenset(range(1, 12)),)
 
 
+@pytest.fixture
+def no_skeletons(monkeypatch):
+    """An empty skeleton cache for the test, restored afterwards."""
+    monkeypatch.setattr(analysis, "_skeletons", {})
+    monkeypatch.setattr(analysis, "_held", 0)
+
+
+def _reports_one_by_one(state, two_groups_only=False):
+    n = state.n
+    return [grouping_report(state, Grouping.from_sets(n, part))
+            for part in iter_set_partitions(n, 2 if two_groups_only else None)]
+
+
+def _kept_groupings():
+    return sum(len(placements) for skeleton in analysis._skeletons.values()
+               for _, _, placements in skeleton)
+
+
+def test_later_sweeps_reuse_the_skeleton(no_skeletons):
+    a, b = random_family_state(7, 0), random_family_state(7, 1)
+    spec = example_pattern("IV", 7, j=2)
+    first = list(classify_groupings(a))
+    assert list(analysis._skeletons) == [(7, None)]
+    for state in (b, a, spec):
+        got = list(classify_groupings(state))
+        assert got == _reports_one_by_one(state)
+        # the kept skeleton hands every sweep the same Grouping objects
+        assert all(mine.grouping is old.grouping for mine, old in zip(got, first))
+    assert list(classify_groupings(a, two_groups_only=True)) == _reports_one_by_one(a, True)
+    assert analysis._held == _kept_groupings() == BELL[7] + 63
+
+
+@pytest.mark.parametrize("budget", [0, 1, 20])
+def test_sweeps_under_a_small_skeleton_budget(no_skeletons, monkeypatch, budget):
+    monkeypatch.setattr(analysis, "_SKELETON_BUDGET", budget)
+    states = [random_family_state(n, seed) for n in (3, 4, 5, 4, 3) for seed in (0, 1)]
+    for state in states:
+        for two_groups_only in (False, True):
+            got = list(classify_groupings(state, two_groups_only=two_groups_only))
+            assert got == _reports_one_by_one(state, two_groups_only)
+            assert analysis._held == _kept_groupings() <= budget
+
+
+def test_skeleton_cache_stays_within_its_budget(no_skeletons):
+    budget = analysis._SKELETON_BUDGET
+    for n in (8, 2, 5, 9, 7, 6, 8, 3, 11, 4, 13, 8):
+        state = random_family_state(n, seed=n)
+        for two_groups_only in (False, True):
+            if n <= 8 or two_groups_only:
+                for _ in classify_groupings(state, guard=n, two_groups_only=two_groups_only):
+                    pass
+                assert analysis._held == _kept_groupings() <= budget
+    # an n = 8 sweep fits; n = 9 has 21,147 groupings and is walked without being kept
+    assert (8, None) in analysis._skeletons and (9, None) not in analysis._skeletons
+
+
+def test_an_abandoned_sweep_keeps_nothing(no_skeletons):
+    state = random_family_state(6, seed=2)
+    sweep = classify_groupings(state)
+    head = next(sweep)
+    assert head.grouping.groups == (frozenset(range(1, 7)),)
+    sweep.close()
+    assert analysis._skeletons == {} and analysis._held == 0
+    assert list(classify_groupings(state)) == _reports_one_by_one(state)
+    assert analysis._held == BELL[6]
+
+
+def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
+    a, b = random_family_state(6, seed=3), example_pattern("V", 6)
+    together = list(zip(classify_groupings(a), classify_groupings(b)))
+    assert [r for r, _ in together] == _reports_one_by_one(a)
+    assert [r for _, r in together] == _reports_one_by_one(b)
+    # whichever sweep kept the skeleton, it is kept once
+    assert analysis._held == _kept_groupings() == BELL[6]
+    assert list(zip(classify_groupings(a), classify_groupings(b))) == together
+    # a cold sweep that ends after another one kept the skeleton keeps no second copy
+    analysis._skeletons.clear()
+    analysis._held = 0
+    late = classify_groupings(a)
+    first = next(late)
+    assert list(classify_groupings(b)) == [r for _, r in together]
+    assert [first, *late] == [r for r, _ in together]
+    assert analysis._held == _kept_groupings() == BELL[6]
+
+
 @pytest.mark.parametrize("guard", [True, 4.5, 10.0, "10", None, 0])
 def test_classify_groupings_rejects_a_guard_that_is_not_a_plain_int(guard):
     with pytest.raises(ValueError, match=f"got guard={guard!r}"):
