@@ -18,11 +18,11 @@ placements of party n: when party n joins group i, the grouping's
 unions are those without group i, so masking them out of the shared
 table gives the same signatures in the same label order.  Those
 tables, the masks and the Grouping of each placement depend on n
-alone: they form the sweep's skeleton, which the first sweep of a
-party count builds and every later one reuses from `_skeletons`, up to
-`_SKELETON_BUDGET` groupings in all.  Groups distill exactly when the
-same indicator-0 unions hold both: distillability within a grouping is
-an equivalence, whose classes are the GHZ-capable collections.
+alone: they form the sweep's skeleton, which `_skeleton` keeps in
+`_skeletons` for every later sweep of n parties when it fits.  Groups
+distill exactly when the same indicator-0 unions hold both:
+distillability within a grouping is an equivalence, whose classes are
+the GHZ-capable collections.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_same_n,
-                    _check_size, _largest_label, _number_text, _parties_text, _party_text,
+                    _check_size, _Kept, _largest_label, _number_text, _parties_text, _party_text,
                     _union_table)
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
@@ -48,12 +48,8 @@ _MEMO_CAP = 1 << 14
 # the grouping's own unions, its Grouping and the index pairs of k groups.
 _Head = tuple[list[int], list[int], list[tuple[int, int, Grouping, tuple[tuple[int, int], ...]]]]
 
-# The skeletons of past sweeps, keyed by (n, blocks); they depend on the party count alone.
-# The cache starts afresh when a new skeleton would take it past _SKELETON_BUDGET groupings
-# (an n = 8 sweep has 4,140); a larger skeleton is built on every sweep and never kept.
-_SKELETON_BUDGET = 1 << 13
-_skeletons: dict[tuple[int, int | None], list[_Head]] = {}
-_held = 0
+# The skeletons of past sweeps by (n, blocks), up to 2^13 groupings in all (n = 8 has 4,140).
+_skeletons = _Kept(1 << 13)
 
 
 def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
@@ -288,35 +284,23 @@ def _build_skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
         yield unions, inside, placements
 
 
-def _skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
-    """The heads of a sweep, from `_skeletons` when kept there, else built as they are asked for.
+def _partition_count(n: int, blocks: int | None) -> int:
+    """Number of groupings a sweep reports: partitions of n parties, of `blocks` groups if set."""
+    row = [1]  # S(m, k) for k = 0..m, from m = 0 up
+    for _ in range(n):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1]
+    return sum(row) if blocks is None else row[blocks] if blocks < len(row) else 0
 
-    A skeleton built here is kept once its walk has run to the end, and
-    only when its groupings fit `_SKELETON_BUDGET`; the cache starts
-    afresh when it would pass the budget.  A walk abandoned half way
-    keeps nothing, and a larger skeleton is dropped as it is walked.
-    """
-    global _held
+
+def _skeleton(n: int, blocks: int | None) -> Iterable[_Head]:
+    """The heads of a sweep: kept ones, or built whole and kept when they fit, else the walk."""
     kept = _skeletons.get((n, blocks))
     if kept is not None:
-        yield from kept
-        return
-    built: list[_Head] | None = []
-    count = 0
-    for head in _build_skeleton(n, blocks):
-        if built is not None:
-            count += len(head[2])
-            if count > _SKELETON_BUDGET:
-                built = None
-            else:
-                built.append(head)
-        yield head
-    if built is not None and (n, blocks) not in _skeletons:
-        if _held + count > _SKELETON_BUDGET:
-            _skeletons.clear()
-            _held = 0
-        _skeletons[n, blocks] = built
-        _held += count
+        return kept
+    count = _partition_count(n, blocks)
+    if count > _skeletons.budget:
+        return _build_skeleton(n, blocks)
+    return _skeletons.keep((n, blocks), list(_build_skeleton(n, blocks)), count)
 
 
 def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[GroupingReport]:
@@ -352,20 +336,18 @@ def classify_groupings(
 
     The reports read the indicator vector alone, one union table per
     partition of parties 1..n-1, shared by the placements of party n.
-    The tables and the Groupings are the sweep's skeleton: the first
-    sweep of a party count (and of `two_groups_only`) builds it as it
-    reports and keeps it once it runs to its end, and later sweeps
-    reuse it, so their reports hold the same Grouping objects.  Kept
-    skeletons hold at most `_SKELETON_BUDGET` (8,192) groupings in all,
-    2.0 MB for the 4,140 of n = 8; the cache starts afresh when a new
-    skeleton would pass that, and a larger skeleton is walked on every
-    sweep and never kept.  The reports of one sweep share their
-    immutable PairVerdict and Splitting objects: a pair of groups that
-    meets the same verdict in many groupings holds one object for all
-    of them, until the memo reaches `_MEMO_CAP` verdicts and starts
-    afresh.  The number of set partitions grows very fast, hence the
-    guard on the party count, checked when the sweep is asked for;
-    raise it knowingly.
+    The tables and the Groupings are the sweep's skeleton.  When it
+    fits the 8,192 groupings of `_skeletons` (2.0 MB for the 4,140 of
+    n = 8), the first sweep of a party count (and of `two_groups_only`)
+    builds it whole before its first report and keeps it, and later
+    sweeps reuse it, so their reports hold the same Grouping objects;
+    a larger skeleton is walked on every sweep and never kept.  The
+    reports of one sweep share their immutable PairVerdict and
+    Splitting objects: a pair of groups that meets the same verdict in
+    many groupings holds one object for all of them, until the memo
+    reaches `_MEMO_CAP` verdicts and starts afresh.  The number of set
+    partitions grows very fast, hence the guard on the party count,
+    checked when the sweep is asked for; raise it knowingly.
     """
     _check_sweep(state.n, guard)
     return _sweep(state, 2 if two_groups_only else None)

@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import accumulate
 from typing import Any, Iterable
 
 from . import __version__
@@ -32,6 +31,7 @@ from .analysis import (
     GroupingReport,
     PairVerdict,
     _check_sweep,
+    _partition_count,
     classify_groupings,
     grouping_report,
     search_specifications,
@@ -209,16 +209,6 @@ def _emit_stream(head: dict[str, Any], key: str, texts: Iterable[str]) -> None:
     out.write("]}\n")
 
 
-def _partition_count(n: int, two_groups_only: bool) -> int:
-    """Number of groupings a sweep reports: 2^(n-1) - 1 two-group splits, or the Bell number."""
-    if two_groups_only:
-        return (1 << (n - 1)) - 1
-    row = [1]  # the Bell triangle: each row starts with the last entry of the row above
-    for _ in range(n - 1):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[-1]
-
-
 def _print_state_pretty(state: FamilyState) -> None:
     print(f"parties        {state.n}")
     print(f"lam0_plus      {state.lam0_plus:.12g}")
@@ -233,11 +223,21 @@ def _print_state_pretty(state: FamilyState) -> None:
         )
 
 
+# the options each source of `construct` would ignore, and so refuses
+_IGNORED = {"random": ("j", "band", "group", "margin", "lam0_minus"), "example": ("seed",),
+            "spec": ("n", "j", "band", "group", "seed")}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
+    source = "random" if args.random else "example" if args.example is not None else "spec"
+    refused = [f"--{name.replace('_', '-')}" for name in _IGNORED[source]
+               if getattr(args, name) is not None]
+    if refused:
+        raise ValueError(f"--{source} does not take {', '.join(refused)}")
     if args.random:
         if args.n is None:
             raise ValueError("--random needs --n")
-        state = random_family_state(args.n, args.seed)
+        state = random_family_state(args.n, 0 if args.seed is None else args.seed)
     else:
         if args.example is not None:
             band = tuple(args.band) if args.band is not None else None
@@ -247,7 +247,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             pattern = example_pattern(args.example, args.n, j=args.j, band=band, group=group)
         else:
             pattern = _load_specification(args.spec)
-        state = from_specification(pattern, margin=args.margin, lam0_minus=args.lam0_minus)
+        state = from_specification(pattern, margin=0.5 if args.margin is None else args.margin,
+                                   lam0_minus=0.0 if args.lam0_minus is None else args.lam0_minus)
     if args.output:
         save_state(state, args.output)
         return 0
@@ -277,7 +278,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 )
                 print(f"{str(rep.grouping):<24} {flags}")
         else:
-            count = _partition_count(state.n, args.two_groups_only)
+            count = _partition_count(state.n, 2 if args.two_groups_only else None)
             _emit_stream({"schema": STATE_SCHEMA, "kind": "grouping-sweep", "n": state.n,
                           "count": count}, "reports", map(_VerdictText().report, reports))
         return 0
@@ -452,11 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                      help="percentage band for pattern II")
     con.add_argument("--group", metavar="PARTIES", help="comma list for pattern III")
-    con.add_argument("--margin", type=float, default=0.5,
+    con.add_argument("--margin", type=float,
                      help="separable-label clearance in (0, 1] (default 0.5)")
-    con.add_argument("--lam0-minus", type=float, default=0.0, dest="lam0_minus",
+    con.add_argument("--lam0-minus", type=float, dest="lam0_minus",
                      help="unnormalized weight of the odd corner (default 0)")
-    con.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
+    con.add_argument("--seed", type=int, help="seed for --random (default 0)")
     con.add_argument("-o", "--output", metavar="FILE", help="write the state here")
     con.add_argument("--pretty", action="store_true", help="table instead of JSON")
     con.set_defaults(func=_cmd_construct)

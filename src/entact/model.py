@@ -24,7 +24,8 @@ party count, `_is_real` with `_is_finite` for a weight or any other real
 parameter, and `_check_nonnegative` for a finite nonnegative one.  Errors
 show a number through `_number_text` (an int past the interpreter's digit
 limit by its sign and size) and any other value through `_value_text`.
-`FamilyState._indicators` is the one indicator decision.
+`FamilyState._indicators` is the one indicator decision, and `_Kept` the
+one rule for a process-wide cache held within a budget.
 """
 from __future__ import annotations
 
@@ -72,6 +73,31 @@ def _party_text(parties: Iterable[int]) -> str:
 # the party sets of group masks, shared by every Grouping.from_masks:
 # a sweep meets each of its at most 2^n - 1 group masks many times
 _group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
+
+
+class _Kept(dict):
+    """A process-wide cache of tables: `held` units kept, at most `budget` in all.
+
+    `keep(key, table, size)` keeps a table of `size` units and returns it.
+    A table larger than the budget is never kept, and one that would take
+    `held` past the budget empties the store first.
+    """
+
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget, self.held = budget, 0
+
+    def keep(self, key: object, table, size: int):
+        if size <= self.budget:
+            if self.held + size > self.budget:
+                self.clear()
+            self[key] = table
+            self.held += size
+        return table
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
 
 
 def _number_text(value: object) -> str:

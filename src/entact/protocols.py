@@ -15,31 +15,22 @@ from typing import Callable, Iterable
 
 from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
-                    _check_party_set, _check_same_n, _party_text, _value_text, party_bitmask)
+                    _check_party_set, _check_same_n, _Kept, _party_text, _value_text,
+                    party_bitmask)
 
 AMPLIFY_CAP = 64
 
-# The index tables of the moves, keyed by (builder, n, key), each an array('I') of 4-byte
-# indices.  They depend only on small integers, so each is built once.  The cache starts
-# afresh when a new table would take it past _TABLE_BUDGET indices (1 MiB of index data);
-# a table larger than that is built on every call and never kept.
-_TABLE_BUDGET = 1 << 18
-_tables: dict[tuple, array] = {}
-_held = 0
+# The index tables of the moves by (builder, n, key): arrays of 4-byte indices that depend
+# only on small integers, so each is built once and kept, up to 2^18 (1 MiB) in all.
+_tables = _Kept(1 << 18)
 
 
 def _table(build: Callable[[int, object], Iterable[int]], n: int, key: object) -> array:
     """The index table build(n, key), from the cache when it is there."""
-    global _held
     table = _tables.get((build, n, key))
     if table is None:
         table = array("I", build(n, key))
-        if _held + len(table) > _TABLE_BUDGET:
-            _tables.clear()
-            _held = 0
-        if len(table) <= _TABLE_BUDGET:
-            _tables[build, n, key] = table
-            _held += len(table)
+        _tables.keep((build, n, key), table, len(table))
     return table
 
 
@@ -126,9 +117,8 @@ def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     exact and does no amplification: to keep children of two
     distillable parents distillable, amplify by required_amplification
     first, as distill_pipeline does.  The parent indices are one table
-    per (n, party), shared with required_amplification and kept in the
-    moves' index cache, which holds at most _TABLE_BUDGET 4-byte
-    indices (1 MiB) in all.
+    per (n, party), shared with required_amplification and kept in
+    `_tables`, the moves' index cache.
     """
     _check_measurable(state, party)
     lam = state.lam
@@ -161,8 +151,7 @@ def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
     renormalizing.  A group member measured later therefore merges each
     label with a zero, and only the group's last member needs
     amplification.  Which labels the group straddles is one table per
-    (n, group mask), kept in the moves' index cache (at most
-    _TABLE_BUDGET 4-byte indices, 1 MiB, in all).
+    (n, group mask), kept in `_tables`.
     """
     gmask = party_bitmask(_check_party_set(state.n, parties, "group"))
     if gmask.bit_count() < 2:
@@ -202,8 +191,7 @@ def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     party on the wrong side the whole pattern is complemented; that maps
     basis pairs to basis pairs and leaves the corner weights in place.
     The old label of each new label is one table per (n, order), kept
-    in the moves' index cache (at most _TABLE_BUDGET 4-byte indices,
-    1 MiB, in all).
+    in `_tables`.
     """
     lam = tuple(map(state.lam.__getitem__,
                     _table(_relabel_sources, state.n, _check_order(state.n, order))))

@@ -24,6 +24,7 @@ from entact import (
 )
 from entact import analysis
 from entact.analysis import _compile
+from entact.model import _Kept
 from reference import separating_splittings, straddles
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -274,7 +275,13 @@ def test_classify_groupings_covers_every_partition():
     assert len({rep.grouping for rep in reports}) == BELL[4]
 
 
-def test_classify_groupings_guard():
+@pytest.fixture
+def no_skeletons(monkeypatch):
+    """An empty skeleton cache with the usual budget for the test, restored afterwards."""
+    monkeypatch.setattr(analysis, "_skeletons", _Kept(analysis._skeletons.budget))
+
+
+def test_classify_groupings_guard(no_skeletons):
     labels = (1 << 10) - 1
     big = FamilyState(11, 1.0, 0.0, (0.0,) * labels)
     # the guard is checked when the sweep is asked for, not at its first report
@@ -282,13 +289,14 @@ def test_classify_groupings_guard():
         classify_groupings(big)
     head = next(classify_groupings(big, guard=11))
     assert head.grouping.groups == (frozenset(range(1, 12)),)
+    # 678,570 groupings pass the budget: the walk is neither built ahead nor kept
+    assert analysis._skeletons == {} and analysis._skeletons.held == 0
 
 
-@pytest.fixture
-def no_skeletons(monkeypatch):
-    """An empty skeleton cache for the test, restored afterwards."""
-    monkeypatch.setattr(analysis, "_skeletons", {})
-    monkeypatch.setattr(analysis, "_held", 0)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_partition_count_matches_the_walk(n):
+    for blocks in (None, *range(1, n + 2)):
+        assert analysis._partition_count(n, blocks) == len(list(iter_set_partitions(n, blocks)))
 
 
 def _reports_one_by_one(state, two_groups_only=False):
@@ -313,42 +321,43 @@ def test_later_sweeps_reuse_the_skeleton(no_skeletons):
         # the kept skeleton hands every sweep the same Grouping objects
         assert all(mine.grouping is old.grouping for mine, old in zip(got, first))
     assert list(classify_groupings(a, two_groups_only=True)) == _reports_one_by_one(a, True)
-    assert analysis._held == _kept_groupings() == BELL[7] + 63
+    assert analysis._skeletons.held == _kept_groupings() == BELL[7] + 63
 
 
 @pytest.mark.parametrize("budget", [0, 1, 20])
-def test_sweeps_under_a_small_skeleton_budget(no_skeletons, monkeypatch, budget):
-    monkeypatch.setattr(analysis, "_SKELETON_BUDGET", budget)
+def test_sweeps_under_a_small_skeleton_budget(monkeypatch, budget):
+    monkeypatch.setattr(analysis, "_skeletons", _Kept(budget))
     states = [random_family_state(n, seed) for n in (3, 4, 5, 4, 3) for seed in (0, 1)]
     for state in states:
         for two_groups_only in (False, True):
             got = list(classify_groupings(state, two_groups_only=two_groups_only))
             assert got == _reports_one_by_one(state, two_groups_only)
-            assert analysis._held == _kept_groupings() <= budget
+            assert analysis._skeletons.held == _kept_groupings() <= budget
 
 
 def test_skeleton_cache_stays_within_its_budget(no_skeletons):
-    budget = analysis._SKELETON_BUDGET
+    budget = analysis._skeletons.budget
     for n in (8, 2, 5, 9, 7, 6, 8, 3, 11, 4, 13, 8):
         state = random_family_state(n, seed=n)
         for two_groups_only in (False, True):
             if n <= 8 or two_groups_only:
                 for _ in classify_groupings(state, guard=n, two_groups_only=two_groups_only):
                     pass
-                assert analysis._held == _kept_groupings() <= budget
+                assert analysis._skeletons.held == _kept_groupings() <= budget
     # an n = 8 sweep fits; n = 9 has 21,147 groupings and is walked without being kept
     assert (8, None) in analysis._skeletons and (9, None) not in analysis._skeletons
 
 
-def test_an_abandoned_sweep_keeps_nothing(no_skeletons):
+def test_an_abandoned_sweep_keeps_the_full_skeleton(no_skeletons):
     state = random_family_state(6, seed=2)
     sweep = classify_groupings(state)
     head = next(sweep)
     assert head.grouping.groups == (frozenset(range(1, 7)),)
     sweep.close()
-    assert analysis._skeletons == {} and analysis._held == 0
+    # a skeleton that fits the budget is built whole, and kept, before the first report
+    assert list(analysis._skeletons) == [(6, None)] and analysis._skeletons.held == BELL[6]
     assert list(classify_groupings(state)) == _reports_one_by_one(state)
-    assert analysis._held == BELL[6]
+    assert analysis._skeletons.held == BELL[6]
 
 
 def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
@@ -356,17 +365,16 @@ def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
     together = list(zip(classify_groupings(a), classify_groupings(b)))
     assert [r for r, _ in together] == _reports_one_by_one(a)
     assert [r for _, r in together] == _reports_one_by_one(b)
-    # whichever sweep kept the skeleton, it is kept once
-    assert analysis._held == _kept_groupings() == BELL[6]
+    # the first sweep kept the skeleton and the second reused it, so it is kept once
+    assert analysis._skeletons.held == _kept_groupings() == BELL[6]
     assert list(zip(classify_groupings(a), classify_groupings(b))) == together
-    # a cold sweep that ends after another one kept the skeleton keeps no second copy
+    # a cold sweep keeps the skeleton at its first report, and a sweep run meanwhile reuses it
     analysis._skeletons.clear()
-    analysis._held = 0
     late = classify_groupings(a)
     first = next(late)
     assert list(classify_groupings(b)) == [r for _, r in together]
     assert [first, *late] == [r for r, _ in together]
-    assert analysis._held == _kept_groupings() == BELL[6]
+    assert analysis._skeletons.held == _kept_groupings() == BELL[6]
 
 
 @pytest.mark.parametrize("guard", [True, 4.5, 10.0, "10", None, 0])

@@ -664,6 +664,27 @@ def test_construct_example_error_exits(tmp_path, capsys, argv, message):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("source, options, message", [
+    (["--random", "--n", "4"], ["--j", "2"], "--random does not take --j"),
+    (["--random"], ["--band", "0", "50", "--group", "1", "--margin", "0.5", "--lam0-minus", "0"],
+     "--random does not take --band, --group, --margin, --lam0-minus"),
+    (["--example", "VI"], ["--seed", "0"], "--example does not take --seed"),
+    (["--example", "V", "--n", "6"], ["--seed", "3", "--margin", "0.25"],
+     "--example does not take --seed"),
+    (["--spec"], ["--n", "7"], "--spec does not take --n"),
+    (["--spec"], ["--j", "1", "--band", "0", "50", "--group", "1", "--seed", "3", "--margin", "1"],
+     "--spec does not take --j, --band, --group, --seed"),
+])
+def test_construct_refuses_an_option_its_source_ignores(tmp_path, capsys, source, options, message):
+    spec = tmp_path / "s3.json"
+    spec.write_text('{"n": 3, "bits": {"1": 1, "2": 0, "3": 1}}')
+    path = tmp_path / "state.json"
+    argv = [*source, str(spec)] if source == ["--spec"] else source
+    rc, out, err = run(capsys, "construct", *argv, *options, "-o", str(path))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
 def test_construct_spec_bytes_and_error_exits(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 4, "bits": {str(m): m % 3 % 2 for m in range(1, 8)}}))

@@ -29,7 +29,7 @@ from entact import (
     search_specifications,
     validate,
 )
-from entact.model import GROUPING_PARTY_CAP
+from entact.model import GROUPING_PARTY_CAP, _Kept
 from entact.oracle import min_pt_eigenvalue
 from reference import ghz_basis_vector, separating_splittings, straddles
 
@@ -643,3 +643,26 @@ def test_a_huge_count_in_a_message_is_named_by_its_size(call, message):
 def test_every_party_count_mismatch_names_both_counts(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_store_keeps_tables_within_its_budget():
+    store = _Kept(10)
+    # a table larger than the budget is returned and never kept
+    assert store.keep("big", "x" * 11, 11) == "x" * 11
+    assert store == {} and store.held == 0
+    # held is the sum of the kept sizes
+    for key, size in (("a", 4), ("b", 3), ("c", 3)):
+        assert store.keep(key, key * size, size) == key * size
+    assert store == {"a": "aaaa", "b": "bbb", "c": "ccc"} and store.held == 10
+    # a table that would pass the budget empties the store first
+    store.keep("d", "dd", 2)
+    assert store == {"d": "dd"} and store.held == 2
+    store.keep("e", "e" * 10, 10)
+    assert store == {"e": "e" * 10} and store.held == 10
+    assert store.held == sum(map(len, store.values()))
+    store.clear()
+    assert store == {} and store.held == 0
+    # a budget of 0 keeps nothing
+    none = _Kept(0)
+    assert none.keep("one", "?", 1) == "?"
+    assert none == {} and none.held == 0

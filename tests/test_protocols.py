@@ -27,6 +27,7 @@ from entact import (
     required_amplification,
     validate,
 )
+from entact.model import _Kept
 from reference import coefficients_from_density, dense_projector_sum, permute_dense
 
 
@@ -412,15 +413,12 @@ def _ladder_and_sixteen_party_moves():
 
 
 def test_move_tables_stay_within_their_budget_and_rebuild_alike(monkeypatch):
-    monkeypatch.setattr(protocols, "_tables", {})
-    monkeypatch.setattr(protocols, "_held", 0)
+    monkeypatch.setattr(protocols, "_tables", _Kept(protocols._tables.budget))
     kept = _ladder_and_sixteen_party_moves()
-    assert 0 < protocols._held <= protocols._TABLE_BUDGET
-    assert protocols._held == sum(map(len, protocols._tables.values()))
+    assert 0 < protocols._tables.held <= protocols._tables.budget
+    assert protocols._tables.held == sum(map(len, protocols._tables.values()))
     # a cache that starts afresh every few tables, and one that holds none, give the same bytes
     for budget in (1 << 12, 0):
-        monkeypatch.setattr(protocols, "_TABLE_BUDGET", budget)
-        monkeypatch.setattr(protocols, "_tables", {})
-        monkeypatch.setattr(protocols, "_held", 0)
+        monkeypatch.setattr(protocols, "_tables", _Kept(budget))
         assert _ladder_and_sixteen_party_moves() == kept
-        assert protocols._held <= budget
+        assert protocols._tables.held <= budget
