@@ -19,7 +19,7 @@ unions are those without group i, so masking them out of the shared
 table gives the same signatures in the same label order.  Those
 tables, the masks and the Grouping of each placement depend on n
 alone: they form the sweep's skeleton, which `_skeleton` keeps in
-`_skeletons` for every later sweep of n parties when it fits.  Groups
+`_skeletons` for every later full sweep of n <= 8 parties.  Groups
 distill exactly when the same indicator-0 unions hold both:
 distillability within a grouping is an equivalence, whose classes are
 the GHZ-capable collections.
@@ -48,7 +48,7 @@ _MEMO_CAP = 1 << 14
 # the grouping's own unions, its Grouping and the index pairs of k groups.
 _Head = tuple[list[int], list[int], list[tuple[int, int, Grouping, tuple[tuple[int, int], ...]]]]
 
-# The skeletons of past sweeps by (n, blocks), up to 2^13 groupings in all (n = 8 has 4,140).
+# The skeletons of past full sweeps by n: 2^13 groupings, more than all of n = 2..8 (5,294).
 _skeletons = _Kept(1 << 13)
 
 
@@ -68,15 +68,16 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
     # each member is checked before it is hashed: True or 2.0 would find group {1} or {2}
     cset = frozenset(map(_check_party, c))
     dset = frozenset(map(_check_party, d))
+    found = []
     for name, s in (("c", cset), ("d", dset)):
-        if s not in groups:
-            raise ValueError(f"{name}={_parties_text(s)} is not a group of {grouping}")
-    if cset == dset:
-        raise ValueError(
-            f"c and d are the same group {_party_text(cset)}; "
-            "a pair needs two different groups"
-        )
-    return groups.index(cset), groups.index(dset)
+        try:
+            found.append(groups.index(s))
+        except ValueError:
+            raise ValueError(f"{name}={_parties_text(s)} is not a group of {grouping}") from None
+    if found[0] == found[1]:
+        raise ValueError(f"c and d are the same group {_party_text(cset)}; "
+                         "a pair needs two different groups")
+    return found[0], found[1]
 
 
 def _pair_label(state: FamilyState | Specification, grouping: Grouping, c, d) -> int:
@@ -144,9 +145,9 @@ class GroupingReport:
         return any(p.distillable for p in self.pairs)
 
     def pair(self, c, d) -> PairVerdict:
-        groups = self.grouping.groups
-        i, j = _resolve_pair(self.grouping.n, self.grouping, c, d)
-        return next(pv for pv in self.pairs if {pv.c, pv.d} == {groups[i], groups[j]})
+        i, j = sorted(_resolve_pair(self.grouping.n, self.grouping, c, d))
+        k = len(self.grouping.groups)  # pairs run in combinations(range(k), 2) order
+        return self.pairs[i * (2 * k - i - 1) // 2 + j - i - 1]
 
 
 def _report(
@@ -251,8 +252,8 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
     )
 
 
-def _build_skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
-    """The heads of a sweep of n parties, in restricted-growth order, one at a time.
+def _build_skeleton(n: int) -> Iterator[_Head]:
+    """The heads of a full sweep of n parties, in restricted-growth order, one at a time.
 
     Walks the partitions of parties 1..n-1, the heads; party n is the
     last digit of the order, so each head's completions follow it: party
@@ -265,9 +266,8 @@ def _build_skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
     every placement.  Each Grouping is validated here, once.
     """
     last = 1 << (n - 1)
-    heads = _grow(n - 1, 1, n - 1) if blocks is None else _grow(n - 1, blocks - 1, blocks)
     pairs: dict[int, tuple[tuple[int, int], ...]] = {}
-    for head in heads:
+    for head in _grow(n - 1, 1, n - 1):
         m = len(head)
         placed = head + (last,)  # party n alone, as group m
         unions, inside = _union_table(placed)
@@ -275,8 +275,6 @@ def _build_skeleton(n: int, blocks: int | None) -> Iterator[_Head]:
         for i in range(m + 1):
             # joining group i keeps m groups; standing alone, as group m, makes m + 1
             k = m if i < m else m + 1
-            if blocks is not None and blocks != k:
-                continue
             if k not in pairs:
                 pairs[k] = tuple(combinations(range(k), 2))
             masks = placed[:i] + (placed[i] | last,) + placed[i + 1:k]
@@ -292,27 +290,26 @@ def _partition_count(n: int, blocks: int | None) -> int:
     return sum(row) if blocks is None else row[blocks] if blocks < len(row) else 0
 
 
-def _skeleton(n: int, blocks: int | None) -> Iterable[_Head]:
+def _skeleton(n: int) -> Iterable[_Head]:
     """The heads of a sweep: kept ones, or built whole and kept when they fit, else the walk."""
-    kept = _skeletons.get((n, blocks))
+    kept = _skeletons.get(n)
     if kept is not None:
         return kept
-    count = _partition_count(n, blocks)
+    count = _partition_count(n, None)
     if count > _skeletons.budget:
-        return _build_skeleton(n, blocks)
-    return _skeletons.keep((n, blocks), list(_build_skeleton(n, blocks)), count)
+        return _build_skeleton(n)
+    return _skeletons.keep(n, list(_build_skeleton(n)), count)
 
 
-def _sweep(state: FamilyState | Specification, blocks: int | None) -> Iterator[GroupingReport]:
-    """Reports of the groupings with `blocks` groups, or of all when None.
+def _sweep(state: FamilyState | Specification) -> Iterator[GroupingReport]:
+    """Reports of every grouping, in restricted-growth order.
 
-    In restricted-growth order.  The state enters only here: one mask of
-    indicator-0 unions per head of the skeleton, and the signatures of
-    each placement of party n read off it.
+    The state enters only here: one mask of indicator-0 unions per head
+    of the skeleton, and the signatures of its placements read off it.
     """
     indicator = state.indicator_vector()
     memo: _Memo = ({0: None}, {})
-    for unions, inside, placements in _skeleton(state.n, blocks):
+    for unions, inside, placements in _skeleton(state.n):
         zero = _zero_unions(indicator, unions)
         zero_in = [zero & s for s in inside]  # each group's indicator-0 unions
         for k, out, grouping, pairs in placements:
@@ -334,23 +331,26 @@ def classify_groupings(
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
-    The reports read the indicator vector alone, one union table per
-    partition of parties 1..n-1, shared by the placements of party n.
-    The tables and the Groupings are the sweep's skeleton.  When it
-    fits the 8,192 groupings of `_skeletons` (2.0 MB for the 4,140 of
-    n = 8), the first sweep of a party count (and of `two_groups_only`)
-    builds it whole before its first report and keeps it, and later
-    sweeps reuse it, so their reports hold the same Grouping objects;
-    a larger skeleton is walked on every sweep and never kept.  The
-    reports of one sweep share their immutable PairVerdict and
-    Splitting objects: a pair of groups that meets the same verdict in
-    many groupings holds one object for all of them, until the memo
-    reaches `_MEMO_CAP` verdicts and starts afresh.  The number of set
-    partitions grows very fast, hence the guard on the party count,
-    checked when the sweep is asked for; raise it knowingly.
+    The reports read the indicator vector alone.  A full sweep reads one
+    union table per partition of parties 1..n-1, shared by the
+    placements of party n; the tables and the Groupings are its
+    skeleton.  The first full sweep of at most 8 parties builds it whole
+    before its first report and keeps it in `_skeletons`, and later
+    sweeps reuse it, so their reports hold the same Grouping objects.
+    Those of 2..8 parties together (5,294 groupings, 2.4 MB) fit its
+    8,192, so the store never overflows; a larger skeleton is walked on
+    every sweep and never kept.  The reports of one full sweep share
+    their immutable PairVerdict and Splitting objects until the memo
+    reaches `_MEMO_CAP` verdicts and starts afresh.  A two-group split
+    is one `grouping_report` per bipartition, and keeps nothing.  The
+    number of set partitions grows very fast, hence the guard on the
+    party count, checked when the sweep is asked for; raise it knowingly.
     """
     _check_sweep(state.n, guard)
-    return _sweep(state, 2 if two_groups_only else None)
+    if two_groups_only:
+        n = state.n
+        return (grouping_report(state, Grouping.from_masks(n, masks)) for masks in _grow(n, 2, 2))
+    return _sweep(state)
 
 
 Requirement = Callable[[Specification], bool]
@@ -439,7 +439,7 @@ def example_vii_requirement() -> Clauses:
         5,
         activate=[(g, {1}, {2}) for g in joined],
         silent=[Grouping.all_separate(5), Grouping.with_joined(5, (4, 5))],
-        zero_labels=[m for m in range(1, 16) if (m & 1) == (m >> 1 & 1)],
+        zero_labels=[m for m in range(1, 16) if (s := Splitting(5, m)).bit(1) == s.bit(2)],
     )
 
 

@@ -103,7 +103,7 @@ def example_pattern(
         labels = {Splitting.from_side(4, side).mask for side in ({1}, {2}, {1, 2})}
     elif key == "VII":
         # the splittings separating 1 from 2, minus the one whose side is {1, 3}
-        labels = ({m for m in range(1, 16) if (m & 1) != (m >> 1 & 1)}
+        labels = ({m for m in range(1, 16) if (s := Splitting(5, m)).bit(1) != s.bit(2)}
                   - {Splitting.from_side(5, {1, 3}).mask})
     else:
         # a rule on the size k of side B

@@ -314,14 +314,14 @@ def test_later_sweeps_reuse_the_skeleton(no_skeletons):
     a, b = random_family_state(7, 0), random_family_state(7, 1)
     spec = example_pattern("IV", 7, j=2)
     first = list(classify_groupings(a))
-    assert list(analysis._skeletons) == [(7, None)]
+    assert list(analysis._skeletons) == [7]
     for state in (b, a, spec):
         got = list(classify_groupings(state))
         assert got == _reports_one_by_one(state)
         # the kept skeleton hands every sweep the same Grouping objects
         assert all(mine.grouping is old.grouping for mine, old in zip(got, first))
     assert list(classify_groupings(a, two_groups_only=True)) == _reports_one_by_one(a, True)
-    assert analysis._skeletons.held == _kept_groupings() == BELL[7] + 63
+    assert analysis._skeletons.held == _kept_groupings() == BELL[7]
 
 
 @pytest.mark.parametrize("budget", [0, 1, 20])
@@ -345,7 +345,24 @@ def test_skeleton_cache_stays_within_its_budget(no_skeletons):
                     pass
                 assert analysis._skeletons.held == _kept_groupings() <= budget
     # an n = 8 sweep fits; n = 9 has 21,147 groupings and is walked without being kept
-    assert (8, None) in analysis._skeletons and (9, None) not in analysis._skeletons
+    assert 8 in analysis._skeletons and 9 not in analysis._skeletons
+
+
+def test_two_group_sweeps_leave_the_store_as_it_was(no_skeletons):
+    for n in range(2, 9):
+        for _ in classify_groupings(random_family_state(n, seed=n)):
+            pass
+    # every full sweep that fits: 5,294 groupings, under the budget of 8,192
+    assert sorted(analysis._skeletons) == list(range(2, 9))
+    assert sum(BELL[n] for n in range(2, 9)) == 5294
+    assert analysis._skeletons.held == _kept_groupings() == 5294
+    kept = dict(analysis._skeletons)
+    for n in range(2, 15):
+        state = random_family_state(n, seed=n)
+        for _ in classify_groupings(state, guard=n, two_groups_only=True):
+            pass
+        assert analysis._skeletons.keys() == kept.keys() and analysis._skeletons.held == 5294
+        assert all(analysis._skeletons[m] is skeleton for m, skeleton in kept.items())
 
 
 def test_an_abandoned_sweep_keeps_the_full_skeleton(no_skeletons):
@@ -355,7 +372,7 @@ def test_an_abandoned_sweep_keeps_the_full_skeleton(no_skeletons):
     assert head.grouping.groups == (frozenset(range(1, 7)),)
     sweep.close()
     # a skeleton that fits the budget is built whole, and kept, before the first report
-    assert list(analysis._skeletons) == [(6, None)] and analysis._skeletons.held == BELL[6]
+    assert list(analysis._skeletons) == [6] and analysis._skeletons.held == BELL[6]
     assert list(classify_groupings(state)) == _reports_one_by_one(state)
     assert analysis._skeletons.held == BELL[6]
 

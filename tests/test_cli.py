@@ -1,6 +1,7 @@
 """Command-line behavior, driven through main() in process."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -342,6 +343,27 @@ def test_analyze_all_groupings_sweep(vi_state_file, tmp_path, capsys):
         "error: sweeping all groupings of 4 parties is a large enumeration; "
         "pass --guard=4 to confirm\n"
     )
+
+
+# sha256 of the stdout of sweeps of `construct --random --n N --seed 3`, as CI pins them
+SWEEP_PINS = [
+    (8, [], "535830f4f1e1effaf6231bbe3964187f57a4c6ab4266f15702f992f651282aab"),
+    (8, ["--two-groups-only"], "f71906dbdc07ae3c277672fc710a902f7aadd5dee9feb8ee171661787eec7bd1"),
+    (8, ["--pretty"], "8eb5ddc03cf5c155efe35029b12ea4ec9db3933edcf868e141c961c31564c828"),
+    (9, [], "6bcecd704f6592d4bf0c5df8559abd5db83e593f068a9074fbe9a63660346bdf"),
+]
+
+
+def test_sweep_output_matches_its_pinned_hash(tmp_path, capsys):
+    for n in (8, 9):
+        path = str(tmp_path / f"r{n}.json")
+        rc, _, _ = run(capsys, "construct", "--random", "--n", str(n), "--seed", "3", "-o", path)
+        assert rc == 0
+    for n, flags, pin in SWEEP_PINS:
+        rc, out, err = run(capsys, "analyze", "--state", str(tmp_path / f"r{n}.json"),
+                           "--all-groupings", *flags)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == pin, (n, flags)
 
 
 def _reference_states():
