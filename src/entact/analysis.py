@@ -12,14 +12,15 @@ lacking party n, and for each group the unions that hold it.  A union
 separates two groups exactly when it holds one of them, so
 `grouping_report`, the single-pair verdicts and the clauses of
 `_compile` are all reads of the table of their grouping, which each
-Grouping builds once and holds.  A sweep builds one table per partition
-of parties 1..n-1, with party n alone, and shares it across the
-placements of party n: when party n joins group i, the grouping's
-unions are those without group i, so masking them out of the shared
-table gives the same signatures in the same label order.  Those
-tables, the masks and the Grouping of each placement depend on n
-alone: they form the sweep's skeleton, which `_skeleton` keeps in
-`_skeletons` for every later full sweep of n <= 8 parties.  Groups
+Grouping builds once and holds.  A sweep reads one table per partition
+of parties 1..n-1, that of the grouping with party n alone, and shares
+it across the placements of party n: when party n joins group i, the
+grouping's unions are those without group i, so masking them out of
+the shared table gives the same signatures in the same label order.
+The Groupings of those placements, a head of them per partition, depend
+on n alone: they form the sweep's skeleton, which `_sweep` keeps in
+`_skeletons` for every later full sweep of at most `_KEPT_PARTIES` (8)
+parties.  Groups
 distill exactly when the same indicator-0 unions hold both:
 distillability within a grouping is an equivalence, whose classes are
 the GHZ-capable collections.
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import (FamilyState, Grouping, Specification, Splitting, _check_party, _check_same_n,
-                    _check_size, _Kept, _largest_label, _number_text, _parties_text, _party_text,
-                    _union_table)
+from .model import (_KEPT_PARTIES, FamilyState, Grouping, Specification, Splitting, _check_party,
+                    _check_same_n, _check_size, _largest_label, _number_text, _parties_text,
+                    _party_text)
 
 # Verdict objects of one sweep, shared by all its reports: the Splitting of
 # each label and the PairVerdict of each (c mask, d mask, label).
@@ -43,13 +44,9 @@ _SWEEP_GUARD = 10  # the largest party count a sweep takes unless asked for more
 # Verdicts a sweep's memo holds before it starts afresh (the largest n = 8 sweep seen: 8,231).
 _MEMO_CAP = 1 << 14
 
-# One head of a sweep's skeleton: the union table (unions, inside) of a partition of parties
-# 1..n-1 with party n alone, and per placement of party n its group count k, the mask keeping
-# the grouping's own unions, its Grouping and the index pairs of k groups.
-_Head = tuple[list[int], list[int], list[tuple[int, int, Grouping, tuple[tuple[int, int], ...]]]]
-
-# The skeletons of past full sweeps by n: 2^13 groupings, more than all of n = 2..8 (5,294).
-_skeletons = _Kept(1 << 13)
+# The skeletons of past full sweeps of at most _KEPT_PARTIES parties, by n: per head, the
+# Groupings of party n joining each group of a partition of parties 1..n-1, then standing alone.
+_skeletons: dict[int, list[tuple[Grouping, ...]]] = {}
 
 
 def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
@@ -252,34 +249,18 @@ def iter_set_partitions(n: int, blocks: int | None = None) -> Iterator[tuple[tup
     )
 
 
-def _build_skeleton(n: int) -> Iterator[_Head]:
+def _build_skeleton(n: int) -> Iterator[tuple[Grouping, ...]]:
     """The heads of a full sweep of n parties, in restricted-growth order, one at a time.
 
-    Walks the partitions of parties 1..n-1, the heads; party n is the
-    last digit of the order, so each head's completions follow it: party
-    n joins group 0..m-1, then stands alone as group m.  A head's union
-    table, built with party n alone, serves all m + 1 completions.  Its
-    unions are those of the groups lacking party n, and no union holds
-    group m; when party n joins group i, the grouping's own unions are
-    those without group i, and masking them out keeps their label order,
-    so every lowest label is the same.  Group i's signature is then 0 in
-    every placement.  Each Grouping is validated here, once.
+    Walks the partitions of parties 1..n-1; party n is the last digit of
+    the order, so each partition's m + 1 completions follow it: party n
+    joins group 0..m-1, then stands alone as group m.  A head is the
+    tuple of their Groupings, each validated here, once.
     """
     last = 1 << (n - 1)
-    pairs: dict[int, tuple[tuple[int, int], ...]] = {}
     for head in _grow(n - 1, 1, n - 1):
-        m = len(head)
-        placed = head + (last,)  # party n alone, as group m
-        unions, inside = _union_table(placed)
-        placements = []
-        for i in range(m + 1):
-            # joining group i keeps m groups; standing alone, as group m, makes m + 1
-            k = m if i < m else m + 1
-            if k not in pairs:
-                pairs[k] = tuple(combinations(range(k), 2))
-            masks = placed[:i] + (placed[i] | last,) + placed[i + 1:k]
-            placements.append((k, ~inside[i], Grouping.from_masks(n, masks), pairs[k]))
-        yield unions, inside, placements
+        yield tuple(Grouping.from_masks(n, head[:i] + (head[i] | last,) + head[i + 1:])
+                    for i in range(len(head))) + (Grouping.from_masks(n, head + (last,)),)
 
 
 def _partition_count(n: int, blocks: int | None) -> int:
@@ -290,32 +271,41 @@ def _partition_count(n: int, blocks: int | None) -> int:
     return sum(row) if blocks is None else row[blocks] if blocks < len(row) else 0
 
 
-def _skeleton(n: int) -> Iterable[_Head]:
-    """The heads of a sweep: kept ones, or built whole and kept when they fit, else the walk."""
-    kept = _skeletons.get(n)
-    if kept is not None:
-        return kept
-    count = _partition_count(n, None)
-    if count > _skeletons.budget:
-        return _build_skeleton(n)
-    return _skeletons.keep(n, list(_build_skeleton(n)), count)
-
-
 def _sweep(state: FamilyState | Specification) -> Iterator[GroupingReport]:
     """Reports of every grouping, in restricted-growth order.
 
-    The state enters only here: one mask of indicator-0 unions per head
-    of the skeleton, and the signatures of its placements read off it.
+    The skeleton's heads are kept ones, or built whole and kept for at
+    most _KEPT_PARTIES parties, else walked.  The state enters only here:
+    one mask of indicator-0 unions per head, and the signatures of its
+    placements read off it.  A head's union table is that of its last
+    Grouping, party n alone as group m, and serves all m + 1 placements.
+    Its unions are those of the groups lacking party n, and no union
+    holds group m; when party n joins group i, the grouping's own unions
+    are those without group i, and masking them out keeps their label
+    order, so every lowest label is the same.  Group i's signature is
+    then 0 in every placement.
     """
+    n = state.n
+    heads = _skeletons.get(n)
+    if heads is None:
+        heads = _build_skeleton(n)
+        if n <= _KEPT_PARTIES:
+            heads = _skeletons[n] = list(heads)
     indicator = state.indicator_vector()
+    pairs = [tuple(combinations(range(k), 2)) for k in range(n + 1)]  # by group count
     memo: _Memo = ({0: None}, {})
-    for unions, inside, placements in _skeleton(state.n):
+    for head in heads:
+        *joined, alone = head
+        unions, inside = alone._unions
         zero = _zero_unions(indicator, unions)
         zero_in = [zero & s for s in inside]  # each group's indicator-0 unions
-        for k, out, grouping, pairs in placements:
-            if len(memo[1]) >= _MEMO_CAP:
-                memo = ({0: None}, {})
-            yield _report(grouping, unions, [out & z for z in zero_in[:k]], pairs, memo)
+        m = len(joined)
+        if len(memo[1]) >= _MEMO_CAP:
+            memo = ({0: None}, {})
+        for i, grouping in enumerate(joined):
+            out = ~inside[i]
+            yield _report(grouping, unions, [out & z for z in zero_in[:m]], pairs[m], memo)
+        yield _report(alone, unions, zero_in, pairs[m + 1], memo)
 
 
 def _check_sweep(n: int, guard: object, name: str = "guard") -> None:
@@ -333,13 +323,13 @@ def classify_groupings(
 
     The reports read the indicator vector alone.  A full sweep reads one
     union table per partition of parties 1..n-1, shared by the
-    placements of party n; the tables and the Groupings are its
-    skeleton.  The first full sweep of at most 8 parties builds it whole
-    before its first report and keeps it in `_skeletons`, and later
-    sweeps reuse it, so their reports hold the same Grouping objects.
-    Those of 2..8 parties together (5,294 groupings, 2.4 MB) fit its
-    8,192, so the store never overflows; a larger skeleton is walked on
-    every sweep and never kept.  The reports of one full sweep share
+    placements of party n; the Groupings of those placements, which
+    hold the tables, are its skeleton.  The first full sweep of at most
+    `_KEPT_PARTIES` (8) parties builds it whole before its first report
+    and keeps it in `_skeletons`, and later sweeps reuse it, so their
+    reports hold the same Grouping objects.  Those of 2..8 parties
+    together keep 5,294 Groupings in 1.9 MB; a larger skeleton is walked
+    on every sweep and never kept.  The reports of one full sweep share
     their immutable PairVerdict and Splitting objects until the memo
     reaches `_MEMO_CAP` verdicts and starts afresh.  A two-group split
     is one `grouping_report` per bipartition, and keeps nothing.  The

@@ -5,7 +5,8 @@ protocol (run the distillation pipeline), verify (partial-transpose
 cross-check), search (hunt for indicator specifications).  Output is
 JSON on stdout unless --pretty asks for tables.  Exit codes: 0 for
 success, 1 when an asserted verdict is false or the partial-transpose
-route disagrees, 2 for usage and validation problems.
+route disagrees, 2 for usage and validation problems, 141 (128 + SIGPIPE)
+when the reader closes stdout before the output ends.
 
 State files are JSON documents:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Any, Iterable
@@ -511,10 +513,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader stopped early (`| head`); the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ party count, `_is_real` with `_is_finite` for a weight or any other real
 parameter, and `_check_nonnegative` for a finite nonnegative one.  Errors
 show a number through `_number_text` (an int past the interpreter's digit
 limit by its sign and size) and any other value through `_value_text`.
-`FamilyState._indicators` is the one indicator decision, and `_Kept` the
-one rule for a process-wide cache held within a budget.
+`FamilyState._indicators` is the one indicator decision, `_KEPT_PARTIES`
+the one bound on what sweeps keep, and `_Kept` the move tables' budget.
 """
 from __future__ import annotations
 
@@ -70,9 +70,10 @@ def _party_text(parties: Iterable[int]) -> str:
     return ",".join(map(str, sorted(parties)))
 
 
-# the party sets of group masks, shared by every Grouping.from_masks:
-# a sweep meets each of its at most 2^n - 1 group masks many times
-_group_parties = lru_cache(maxsize=1 << 12)(parties_from_bitmask)
+# the most parties whose sweep a process keeps (`analysis._skeletons`); `_group_parties`
+# holds one party set per group mask of such a sweep, shared by every Grouping
+_KEPT_PARTIES = 8
+_group_parties = lru_cache(maxsize=1 << _KEPT_PARTIES)(parties_from_bitmask)
 
 
 class _Kept(dict):

@@ -24,7 +24,7 @@ from entact import (
 )
 from entact import analysis
 from entact.analysis import _compile
-from entact.model import _Kept
+from entact.model import _group_parties
 from reference import separating_splittings, straddles
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -277,8 +277,8 @@ def test_classify_groupings_covers_every_partition():
 
 @pytest.fixture
 def no_skeletons(monkeypatch):
-    """An empty skeleton cache with the usual budget for the test, restored afterwards."""
-    monkeypatch.setattr(analysis, "_skeletons", _Kept(analysis._skeletons.budget))
+    """An empty skeleton cache for the test, restored afterwards."""
+    monkeypatch.setattr(analysis, "_skeletons", {})
 
 
 def test_classify_groupings_guard(no_skeletons):
@@ -289,8 +289,8 @@ def test_classify_groupings_guard(no_skeletons):
         classify_groupings(big)
     head = next(classify_groupings(big, guard=11))
     assert head.grouping.groups == (frozenset(range(1, 12)),)
-    # 678,570 groupings pass the budget: the walk is neither built ahead nor kept
-    assert analysis._skeletons == {} and analysis._skeletons.held == 0
+    # 11 parties pass the bound of 8: the walk is neither built ahead nor kept
+    assert analysis._skeletons == {}
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -306,8 +306,7 @@ def _reports_one_by_one(state, two_groups_only=False):
 
 
 def _kept_groupings():
-    return sum(len(placements) for skeleton in analysis._skeletons.values()
-               for _, _, placements in skeleton)
+    return sum(len(head) for skeleton in analysis._skeletons.values() for head in skeleton)
 
 
 def test_later_sweeps_reuse_the_skeleton(no_skeletons):
@@ -321,30 +320,40 @@ def test_later_sweeps_reuse_the_skeleton(no_skeletons):
         # the kept skeleton hands every sweep the same Grouping objects
         assert all(mine.grouping is old.grouping for mine, old in zip(got, first))
     assert list(classify_groupings(a, two_groups_only=True)) == _reports_one_by_one(a, True)
-    assert analysis._skeletons.held == _kept_groupings() == BELL[7]
+    assert _kept_groupings() == BELL[7]
 
 
-@pytest.mark.parametrize("budget", [0, 1, 20])
-def test_sweeps_under_a_small_skeleton_budget(monkeypatch, budget):
-    monkeypatch.setattr(analysis, "_skeletons", _Kept(budget))
+@pytest.mark.parametrize("bound", [0, 3, 8])
+def test_sweeps_under_a_small_skeleton_budget(monkeypatch, no_skeletons, bound):
+    monkeypatch.setattr(analysis, "_KEPT_PARTIES", bound)
     states = [random_family_state(n, seed) for n in (3, 4, 5, 4, 3) for seed in (0, 1)]
     for state in states:
         for two_groups_only in (False, True):
             got = list(classify_groupings(state, two_groups_only=two_groups_only))
             assert got == _reports_one_by_one(state, two_groups_only)
-            assert analysis._skeletons.held == _kept_groupings() <= budget
+            assert all(n <= bound for n in analysis._skeletons)
+    assert sorted(analysis._skeletons) == [n for n in (3, 4, 5) if n <= bound]
+    assert _kept_groupings() == sum(BELL[n] for n in analysis._skeletons)
+
+
+def test_walked_sweeps_equal_kept_ones(monkeypatch, no_skeletons):
+    states = [random_family_state(n, seed=n) for n in range(2, 9)]
+    kept = [list(classify_groupings(state)) for state in states]
+    monkeypatch.setattr(analysis, "_KEPT_PARTIES", 0)
+    monkeypatch.setattr(analysis, "_skeletons", {})
+    assert [list(classify_groupings(state)) for state in states] == kept
+    assert analysis._skeletons == {}
 
 
 def test_skeleton_cache_stays_within_its_budget(no_skeletons):
-    budget = analysis._skeletons.budget
     for n in (8, 2, 5, 9, 7, 6, 8, 3, 11, 4, 13, 8):
         state = random_family_state(n, seed=n)
         for two_groups_only in (False, True):
             if n <= 8 or two_groups_only:
                 for _ in classify_groupings(state, guard=n, two_groups_only=two_groups_only):
                     pass
-                assert analysis._skeletons.held == _kept_groupings() <= budget
-    # an n = 8 sweep fits; n = 9 has 21,147 groupings and is walked without being kept
+                assert _kept_groupings() == sum(BELL[m] for m in analysis._skeletons) <= 5294
+    # an n = 8 sweep is kept; n = 9 passes the bound of 8 and is walked without being kept
     assert 8 in analysis._skeletons and 9 not in analysis._skeletons
 
 
@@ -352,17 +361,27 @@ def test_two_group_sweeps_leave_the_store_as_it_was(no_skeletons):
     for n in range(2, 9):
         for _ in classify_groupings(random_family_state(n, seed=n)):
             pass
-    # every full sweep that fits: 5,294 groupings, under the budget of 8,192
+    # every full sweep within the bound of 8 parties: 5,294 groupings
     assert sorted(analysis._skeletons) == list(range(2, 9))
     assert sum(BELL[n] for n in range(2, 9)) == 5294
-    assert analysis._skeletons.held == _kept_groupings() == 5294
+    assert _kept_groupings() == 5294
     kept = dict(analysis._skeletons)
     for n in range(2, 15):
         state = random_family_state(n, seed=n)
         for _ in classify_groupings(state, guard=n, two_groups_only=True):
             pass
-        assert analysis._skeletons.keys() == kept.keys() and analysis._skeletons.held == 5294
+        assert analysis._skeletons.keys() == kept.keys() and _kept_groupings() == 5294
         assert all(analysis._skeletons[m] is skeleton for m, skeleton in kept.items())
+    # the party-set cache holds one set per group mask of 8 parties, not 4,096 sets
+    assert _group_parties.cache_info().currsize <= 256
+
+
+def test_the_kept_n8_skeleton_shares_one_party_set_per_mask(no_skeletons):
+    for _ in classify_groupings(random_family_state(8, seed=8)):
+        pass
+    groupings = [g for head in analysis._skeletons[8] for g in head]
+    assert len(groupings) == BELL[8]
+    assert len({id(group) for g in groupings for group in g.groups}) == 255
 
 
 def test_an_abandoned_sweep_keeps_the_full_skeleton(no_skeletons):
@@ -371,10 +390,10 @@ def test_an_abandoned_sweep_keeps_the_full_skeleton(no_skeletons):
     head = next(sweep)
     assert head.grouping.groups == (frozenset(range(1, 7)),)
     sweep.close()
-    # a skeleton that fits the budget is built whole, and kept, before the first report
-    assert list(analysis._skeletons) == [6] and analysis._skeletons.held == BELL[6]
+    # a skeleton within the party bound is built whole, and kept, before the first report
+    assert list(analysis._skeletons) == [6] and _kept_groupings() == BELL[6]
     assert list(classify_groupings(state)) == _reports_one_by_one(state)
-    assert analysis._skeletons.held == BELL[6]
+    assert _kept_groupings() == BELL[6]
 
 
 def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
@@ -383,7 +402,7 @@ def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
     assert [r for r, _ in together] == _reports_one_by_one(a)
     assert [r for _, r in together] == _reports_one_by_one(b)
     # the first sweep kept the skeleton and the second reused it, so it is kept once
-    assert analysis._skeletons.held == _kept_groupings() == BELL[6]
+    assert _kept_groupings() == BELL[6]
     assert list(zip(classify_groupings(a), classify_groupings(b))) == together
     # a cold sweep keeps the skeleton at its first report, and a sweep run meanwhile reuses it
     analysis._skeletons.clear()
@@ -391,7 +410,7 @@ def test_interleaved_sweeps_equal_sequential_ones(no_skeletons):
     first = next(late)
     assert list(classify_groupings(b)) == [r for _, r in together]
     assert [first, *late] == [r for r, _ in together]
-    assert analysis._skeletons.held == _kept_groupings() == BELL[6]
+    assert _kept_groupings() == BELL[6]
 
 
 @pytest.mark.parametrize("guard", [True, 4.5, 10.0, "10", None, 0])

@@ -1,8 +1,12 @@
-"""Command-line behavior, driven through main() in process."""
+"""Command-line behavior, driven through main() in process, and a closed pipe in a child process."""
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +368,24 @@ def test_sweep_output_matches_its_pinned_hash(tmp_path, capsys):
                            "--all-groupings", *flags)
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == pin, (n, flags)
+
+
+def test_a_closed_pipe_exits_141_quietly(tmp_path, capsys):
+    # as `entact analyze ... | head -c 100` does: the reader takes 100 bytes and closes the pipe
+    path = str(tmp_path / "r9.json")
+    assert run(capsys, "construct", "--random", "--n", "9", "--seed", "3", "-o", path)[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "entact.cli", "analyze", "--state", path, "--all-groupings"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 def _reference_states():

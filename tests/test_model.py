@@ -225,6 +225,7 @@ def test_validate_reports_problems():
     assert any("negative" in p for p in validate(FamilyState(3, 0.6, 0.0, (-0.1, 0.25, 0.05))))
     assert any("lam0_plus < lam0_minus" in p for p in validate(FamilyState(2, 0.2, 0.4, (0.2,))))
     assert any("total weight" in p for p in validate(FamilyState(2, 0.9, 0.0, (0.3,))))
+    assert validate(FamilyState(2, 1.2, -0.2, (0.0,))) == ["lam0_minus is negative (-0.2)"]
     nan = float("nan")
     assert any("lam0_minus is not finite" in p for p in validate(FamilyState(2, 0.5, nan, (0.25,))))
     assert any("labels [2]" in p for p in validate(FamilyState(3, 0.5, 0.0, (0.25, nan, 0.0))))

@@ -66,6 +66,8 @@ def test_partial_transpose_is_involutive():
         partial_transpose(mat, [5])
     with pytest.raises(ValueError):
         partial_transpose(np.zeros((3, 3)), [1])
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (4, 8)")):
+        partial_transpose(np.zeros((4, 8)), [1])
 
 
 def test_partial_transpose_of_a_dense_matrix_equals_the_reshape_reference():
