@@ -38,7 +38,6 @@ from .model import (
     validate,
 )
 from .protocols import (
-    AMPLIFY_CAP,
     DegenerateStateError,
     PipelineStep,
     PipelineTrace,
@@ -54,7 +53,6 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMPLIFY_CAP",
     "BUILTIN_REQUIREMENTS",
     "DegenerateStateError",
     "FamilyState",

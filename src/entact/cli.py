@@ -338,6 +338,7 @@ def _trace_fields(trace: PipelineTrace, with_states: bool) -> dict[str, Any]:
         "c": sorted(trace.c),
         "d": sorted(trace.d),
         "succeeded": trace.succeeded,
+        "precision_limited": trace.precision_limited,
         "witness": _splitting_fields(trace.witness) if trace.witness else None,
         "final_split": _splitting_fields(trace.final_split) if trace.final_split else None,
         "steps": steps,
@@ -368,7 +369,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
             print(f"blocked by {trace.witness}")
         elif trace.outcome is not None:
             word = "distillable" if trace.succeeded else "not distillable"
-            print(f"outcome: fidelity {trace.outcome.fidelity:.6g}, {word}")
+            limited = " (precision limited)" if trace.precision_limited else ""
+            print(f"outcome: fidelity {trace.outcome.fidelity:.6g}, {word}{limited}")
     else:
         _emit(_trace_fields(trace, args.json_trace))
     return 0 if (trace.succeeded or not args.assert_) else 1

@@ -24,7 +24,8 @@ party count, `_is_real` with `_is_finite` for a weight or any other real
 parameter, and `_check_nonnegative` for a finite nonnegative one.  Errors
 show a number through `_number_text` (an int past the interpreter's digit
 limit by its sign and size) and any other value through `_value_text`.
-`FamilyState._indicators` is the one indicator decision, `_KEPT_PARTIES`
+`FamilyState._indicators` is the one indicator decision on weights (the
+protocol's ratio test, v / h < 1.0, agrees with it on every float), `_KEPT_PARTIES`
 the one bound on what sweeps keep, and `_Kept` the move tables' budget.
 """
 from __future__ import annotations

@@ -2,12 +2,20 @@
 
 Every operation here maps family states to family states, down to the
 final two-party outcome, while tracking exactly how the coefficients and
-the corner gap move.  The dense replay of each operation on full
-density matrices lives with the tests, in `tests/reference.py`, so the
-two routes can be compared there.
+the corner gap move.  Each move is one private function on a tuple of
+label values (`_joined`, `_relabeled`, `_merged`, `_powered`, and
+`_power` for the least power a measurement needs).  The public moves
+wrap them for a `FamilyState`, and `distill_pipeline` runs them on the
+state's ratios to its half-gap (`_ratios` on the way in, `_state` for
+each step's physical state), so the gap itself, which float corners lose
+once amplified separable labels are absorbed into both, is never formed.
+The dense replay of each operation on full density matrices and an exact
+replay of the pipeline on rationals live with the tests, in
+`tests/reference.py`, so the routes can be compared there.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from operator import add
@@ -17,8 +25,6 @@ from .analysis import distillation_witness
 from .model import (FamilyState, Grouping, Splitting, _check_order, _check_party,
                     _check_party_set, _check_same_n, _Kept, _party_text, _value_text,
                     party_bitmask)
-
-AMPLIFY_CAP = 64
 
 # The index tables of the moves by (builder, n, key): arrays of 4-byte indices that depend
 # only on small integers, so each is built once and kept, up to 2^18 (1 MiB) in all.
@@ -35,7 +41,45 @@ def _table(build: Callable[[int, object], Iterable[int]], n: int, key: object) -
 
 
 class DegenerateStateError(ValueError):
-    """An operation needed more corner gap than the state provides."""
+    """A state has no corner gap, or a ratio to it leaves the float range."""
+
+
+def _ratios(state: FamilyState) -> tuple[float, tuple[float, ...]]:
+    """The state's weights over its half-gap h: lam0_minus's, then each label's as in `lam`.
+
+    The even corner's ratio is lam0_minus's plus 2.  For every float v >= 0
+    and h > 0, v / h < 1.0 exactly when v < h, so the label ratios show
+    the indicators of `FamilyState._indicators`.  With no gap every ratio
+    is infinite, and every label separable.
+    """
+    half = 0.5 * state.delta
+    if not half > 0.0:
+        return math.inf, (math.inf,) * len(state.lam)
+    return state.lam0_minus / half, tuple([v / half for v in state.lam])
+
+
+def _largest(odd: float, ratios: tuple[float, ...]) -> int:
+    """The label of the largest ratio, 0 for the odd corner: the first to leave the float range."""
+    top = max(ratios)
+    return ratios.index(top) + 1 if top > odd else 0
+
+
+def _state(n: int, odd: float, ratios: tuple[float, ...]) -> FamilyState:
+    """The normalized state whose odd corner and labels weigh `odd` and `ratios` half-gaps."""
+    try:
+        return FamilyState.from_unnormalized(n, odd + 2.0, odd, ratios)
+    except ValueError:  # the weights sum past the float range
+        raise DegenerateStateError("the ratios to the half-gap sum past the float range, "
+                                   f"the largest at label {_largest(odd, ratios)}") from None
+
+
+def _powered(odd: float, ratios: tuple[float, ...], m: int) -> tuple[float, tuple[float, ...]]:
+    """The odd corner's and every label's ratio to the m-th power, the half-gap staying 1."""
+    try:
+        return odd ** m, tuple([v ** m for v in ratios])
+    except OverflowError:
+        raise DegenerateStateError(f"power {m} takes the ratio of label {_largest(odd, ratios)} "
+                                   "past the float range") from None
 
 
 def amplify(state: FamilyState, m: int) -> FamilyState:
@@ -50,15 +94,9 @@ def amplify(state: FamilyState, m: int) -> FamilyState:
         raise ValueError(f"amplification power must be a positive integer, got {_value_text(m)}")
     if m == 1:
         return state
-    half = 0.5 * state.delta
-    if half <= 0.0:
+    if not state.delta > 0.0:
         raise DegenerateStateError("amplification needs a positive corner gap")
-    return FamilyState.from_unnormalized(
-        state.n,
-        state.lam0_minus ** m + 2.0 * half ** m,
-        state.lam0_minus ** m,
-        tuple(v ** m for v in state.lam),
-    )
+    return _state(state.n, *_powered(*_ratios(state), m))
 
 
 def _check_measurable(state: FamilyState, party: int) -> None:
@@ -82,28 +120,54 @@ def _low_parents(n: int, party: int) -> list[int]:
     return [z - 1 for z in range(1, 1 << (n - 1)) if not z & bit]
 
 
+def _power(n: int, values: tuple[float, ...], party: int) -> int:
+    """The least m with a**m + b**m < 1 for the ratios a, b of every two distillable parents.
+
+    `values` are ratios to the half-gap, each label's as in `lam`.  The
+    sum is exactly the child's ratio after `_powered` and `_merged`, so
+    one expression decides the power and the child's indicator.  It falls
+    as m grows and is below 1 once max(a, b)**m < 1/2, so m is found by
+    bisection under log(1/2) / log(max(a, b)), with no cap.
+    """
+    bit = 1 << (party - 1)
+    low = _table(_low_parents, n, party)
+    pairs = [(a, b) for a, b in zip(map(values.__getitem__, low), map(values[bit:].__getitem__, low))
+             if a < 1.0 and b < 1.0]
+
+    def fits(m: int) -> bool:
+        return all(a ** m + b ** m < 1.0 for a, b in pairs)
+
+    if fits(1):
+        return 1
+    lo, hi = 1, int(math.log(0.5) / math.log(max(map(max, pairs)))) + 1
+    while not fits(hi):  # rounding may leave the bound a step short
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def required_amplification(state: FamilyState, party: int) -> int:
     """Smallest power letting the merge after measuring `party` keep its indicators.
 
     Measuring merges the two parent coefficients of every child label by
     addition.  When both parents are distillable (indicator 1) their sum
     may still land above the half-gap; powering first shrinks sub-threshold
-    ratios fast enough that some finite power always works.  Searches
-    1..AMPLIFY_CAP and raises DegenerateStateError beyond the cap.
+    ratios fast enough that some finite power always works.  The power is
+    decided on the ratios to the half-gap (`_power`), as in distill_pipeline.
     """
     _check_measurable(state, party)
-    half = 0.5 * state.delta
-    lam, ind = state.lam, state.indicator_vector()
+    return _power(state.n, _ratios(state)[1], party)
+
+
+def _merged(n: int, values: tuple[float, ...], party: int) -> tuple[float, tuple[float, ...]]:
+    """The value of the label isolating `party`, and each child's sum of its two parents."""
     bit = 1 << (party - 1)
-    pairs = [(lam[a], lam[a + bit]) for a in _table(_low_parents, state.n, party)
-             if ind[a] and ind[a + bit]]
-    for m in range(1, AMPLIFY_CAP + 1):
-        target = half ** m
-        if all(a ** m + b ** m < target for a, b in pairs):
-            return m
-    raise DegenerateStateError(
-        f"coefficients sit too close to the half-gap; no power up to {AMPLIFY_CAP} separates them"
-    )
+    low = _table(_low_parents, n, party)
+    # parent 1 of each child sits `bit` places after parent 0
+    return values[bit - 1], tuple(map(add, map(values.__getitem__, low),
+                                      map(values[bit:].__getitem__, low)))
 
 
 def measure_out_party(state: FamilyState, party: int) -> FamilyState:
@@ -121,12 +185,7 @@ def measure_out_party(state: FamilyState, party: int) -> FamilyState:
     `_tables`, the moves' index cache.
     """
     _check_measurable(state, party)
-    lam = state.lam
-    bit = 1 << (party - 1)
-    absorbed = lam[bit - 1]
-    low = _table(_low_parents, state.n, party)
-    # parent 1 of each child sits `bit` places after parent 0
-    merged = tuple(map(add, map(lam.__getitem__, low), map(lam[bit:].__getitem__, low)))
+    absorbed, merged = _merged(state.n, state.lam, party)
     return FamilyState(state.n - 1, state.lam0_plus + absorbed, state.lam0_minus + absorbed, merged)
 
 
@@ -134,12 +193,18 @@ def _join_sources(n: int, gmask: int) -> list[int]:
     """The lam index each label reads under the join of `gmask`.
 
     A label the group does not straddle reads its own; one it straddles
-    reads one past the end, where join_povm puts a zero.
+    reads one past the end, where `_joined` puts a zero.
     """
     full = (1 << n) - 1
     end = (1 << (n - 1)) - 1
     return [end if gmask & label and gmask & (full ^ label) else label - 1
             for label in range(1, end + 1)]
+
+
+def _joined(n: int, values: tuple[float, ...], gmask: int) -> tuple[float, ...]:
+    """The label values with every label the group `gmask` straddles set to 0."""
+    padded = values + (0.0,)
+    return tuple(map(padded.__getitem__, _table(_join_sources, n, gmask)))
 
 
 def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
@@ -156,9 +221,8 @@ def join_povm(state: FamilyState, parties: Iterable[int]) -> FamilyState:
     gmask = party_bitmask(_check_party_set(state.n, parties, "group"))
     if gmask.bit_count() < 2:
         raise ValueError("joining needs at least two parties")
-    padded = state.lam + (0.0,)
-    lam = tuple(map(padded.__getitem__, _table(_join_sources, state.n, gmask)))
-    return FamilyState.from_unnormalized(state.n, state.lam0_plus, state.lam0_minus, lam)
+    return FamilyState.from_unnormalized(state.n, state.lam0_plus, state.lam0_minus,
+                                         _joined(state.n, state.lam, gmask))
 
 
 def project_to_effective_pair(state: FamilyState, split: Splitting) -> FamilyState:
@@ -184,6 +248,11 @@ def _relabel_sources(n: int, order: tuple[int, ...]) -> list[int]:
     return [(p ^ full if p & anchor else p) - 1 for p in patterns[1:]]
 
 
+def _relabeled(n: int, values: tuple[float, ...], order: tuple[int, ...]) -> tuple[float, ...]:
+    """The label values under the relabeling `order`."""
+    return tuple(map(values.__getitem__, _table(_relabel_sources, n, order)))
+
+
 def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     """Relabel parties so that new party i is old party order[i-1].
 
@@ -193,18 +262,24 @@ def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     The old label of each new label is one table per (n, order), kept
     in `_tables`.
     """
-    lam = tuple(map(state.lam.__getitem__,
-                    _table(_relabel_sources, state.n, _check_order(state.n, order))))
+    lam = _relabeled(state.n, state.lam, _check_order(state.n, order))
     return FamilyState(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
 @dataclass(frozen=True)
 class PipelineStep:
-    """One stage of a distillation run, with the state it produced."""
+    """One stage of a distillation run, with the state it produced.
+
+    `ratios` are what the run carries: each label's weight over the
+    half-gap, label k's at index k - 1 as in `state.lam`, or None on the
+    one step of a run the verdict stops.  `state` is the normalized state
+    they describe (the input itself on the start step).
+    """
 
     kind: str
     note: str
     state: FamilyState
+    ratios: tuple[float, ...] | None = None
     party: int | None = None
     amplification: int | None = None
     order: tuple[int, ...] | None = None
@@ -212,8 +287,13 @@ class PipelineStep:
 
     @property
     def digest(self) -> str:
-        """The state's indicator vector as a 0/1 string, label 1 first."""
-        return "".join(map(str, self.state.indicator_vector()))
+        """The indicator vector the ratios show as a 0/1 string, label 1 first.
+
+        A run the verdict stops converts nothing, so its one step reads
+        the ratios of its state here.
+        """
+        ratios = _ratios(self.state)[1] if self.ratios is None else self.ratios
+        return "".join(["1" if r < 1.0 else "0" for r in ratios])
 
 
 @dataclass(frozen=True)
@@ -229,6 +309,16 @@ class PipelineTrace:
     outcome: FamilyState | None
     final_split: Splitting | None
 
+    @property
+    def precision_limited(self) -> bool:
+        """True when some step's float state shows other indicators than its ratios.
+
+        The corners of an amplified state can be too close for floats to
+        hold the gap between them; the run's verdict, read off the
+        ratios, stands, but `outcome.indicator(1)` may then disagree.
+        """
+        return any(s.digest != "".join(map(str, s.state.indicator_vector())) for s in self.steps)
+
 
 def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTrace:
     """Run the activation protocol for one pair of groups, end to end.
@@ -236,68 +326,59 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
     Order of play: check the splitting-level verdict (bailing out with
     the lowest blocking splitting), project every multi-party group onto
     its all-0/all-1 span, relabel so the anchor party sits in c, measure
-    the helper parties out from the highest label down, then collapse
-    the remaining c-d splitting to its effective pair.  Whenever the
-    verdict holds this ends in a distillable pair.
+    the helper parties out from the highest label down, each after the
+    least amplification that keeps its children's indicators, then
+    collapse the remaining c-d splitting to its effective pair.  Every
+    move runs on the ratios to the half-gap, which the moves leave at 1,
+    and `succeeded` reads the final pair's ratio.  Whenever the verdict
+    holds this ends in a distillable pair.
     """
     cset = frozenset(c)
     dset = frozenset(d)
-    steps = [PipelineStep("start", f"input state on {state.n} parties", state)]
+    note = f"input state on {state.n} parties"
     witness = distillation_witness(state, grouping, cset, dset)
     if witness is not None:
-        return PipelineTrace(grouping, cset, dset, False, tuple(steps), witness, None, None)
+        return PipelineTrace(grouping, cset, dset, False, (PipelineStep("start", note, state),),
+                             witness, None, None)
+    odd, ratios = _ratios(state)
+    steps = [PipelineStep("start", note, state, ratios)]
 
-    cur = state
+    n = state.n
     for g in grouping.groups:
         if len(g) < 2:
             continue
-        cur = join_povm(cur, g)
-        steps.append(
-            PipelineStep(
-                "join",
-                f"joint filter on parties {_party_text(g)}",
-                cur,
-                parties=tuple(sorted(g)),
-            )
-        )
+        ratios = _joined(n, ratios, party_bitmask(g))
+        steps.append(PipelineStep("join", f"joint filter on parties {_party_text(g)}",
+                                  _state(n, odd, ratios), ratios, parties=tuple(sorted(g))))
 
-    n = cur.n
     order = tuple(range(1, n + 1))
     if n not in cset:
         low = min(cset)
         order = tuple(n if q == low else low if q == n else q for q in order)
-        cur = permute_parties(cur, order)
-        steps.append(
-            PipelineStep(
-                "permute",
-                f"swapped parties {low} and {n} so the anchor sits in c",
-                cur,
-                order=order,
-            )
-        )
+        ratios = _relabeled(n, ratios, order)
+        steps.append(PipelineStep("permute", f"swapped parties {low} and {n} so the anchor sits in c",
+                                  _state(n, odd, ratios), ratios, order=order))
 
     # order swaps two parties, so it also maps each old party to its new one
     kept = sorted(order[q - 1] for q in cset | dset)
-    for helper in (q for q in range(n, 0, -1) if q not in kept):
-        power = required_amplification(cur, helper)
-        cur = measure_out_party(amplify(cur, power), helper)
-        steps.append(
-            PipelineStep(
-                "measure",
-                f"measured helper {helper} out (amplification {power})",
-                cur,
-                party=helper,
-                amplification=power,
-            )
-        )
+    for helper in [q for q in range(n, 0, -1) if q not in kept]:
+        power = _power(n, ratios, helper)
+        if power > 1:
+            try:
+                odd, ratios = _powered(odd, ratios, power)
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(f"measuring party {helper} out: {exc}") from None
+        absorbed, ratios = _merged(n, ratios, helper)
+        odd += absorbed
+        n -= 1
+        steps.append(PipelineStep("measure", f"measured helper {helper} out (amplification {power})",
+                                  _state(n, odd, ratios), ratios, party=helper, amplification=power))
 
     # the survivors close ranks, so each keeps its rank among them as its label
     dnew = {order[q - 1] for q in dset}
-    final_split = Splitting(
-        cur.n, party_bitmask(rank for rank, q in enumerate(kept, start=1) if q in dnew)
-    )
+    final_split = Splitting(n, party_bitmask(rank for rank, q in enumerate(kept, start=1) if q in dnew))
+    cur = steps[-1].state
     outcome = project_to_effective_pair(cur, final_split)
-    steps.append(PipelineStep("project", f"collapsed the pair across {final_split}", cur))
-    return PipelineTrace(
-        grouping, cset, dset, bool(outcome.indicator(1)), tuple(steps), None, outcome, final_split
-    )
+    steps.append(PipelineStep("project", f"collapsed the pair across {final_split}", cur, ratios))
+    return PipelineTrace(grouping, cset, dset, ratios[final_split.mask - 1] < 1.0, tuple(steps),
+                         None, outcome, final_split)

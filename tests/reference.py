@@ -13,7 +13,9 @@ entries; the oracle's one-pass report must give the same floats.
 The dense replay of the protocol
 moves (`measure_plus_dense`, `join_dense`, `effective_pair_dense`,
 `permute_dense`, read back by `coefficients_from_density`) carries out
-each move index by index on explicit matrices.  These stay here, outside
+each move index by index on explicit matrices.  `exact_pipeline` replays
+the protocol on `fractions.Fraction` ratios to the half-gap, so it loses
+no margin that floats cannot hold.  These stay here, outside
 the package, so that no package code can share the reference it is
 compared against; nothing here comes from the oracle either, so the
 basis index below is written from its definition, not borrowed.
@@ -21,12 +23,14 @@ basis index below is written from its definition, not borrowed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from entact.model import (
     FamilyState,
+    Grouping,
     Splitting,
     _check_order,
     _check_party,
@@ -278,3 +282,70 @@ def permute_dense(mat: np.ndarray, order) -> np.ndarray:
     row_axes = [order[pos] - 1 for pos in range(n)]
     axes = row_axes + [n + a for a in row_axes]
     return mat.reshape([2] * (2 * n)).transpose(axes).reshape(mat.shape)
+
+
+def _least_exact_power(a: Fraction, b: Fraction) -> int:
+    """The least m >= 1 with a**m + b**m < 1, for 0 <= a, b < 1, by exact tests only."""
+    def fits(m: int) -> bool:
+        return a ** m + b ** m < 1
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def exact_pipeline(state: FamilyState, grouping: Grouping, c: Iterable[int],
+                   d: Iterable[int]) -> tuple[tuple[int, ...], Fraction]:
+    """Replay the protocol for the pair (c, d) on exact ratios to the half-gap.
+
+    Returns the power taken before each helper's measurement and the
+    final pair's exact ratio, below 1 exactly when the pair distills.
+    Written from the moves' definitions: a join zeroes every label its
+    group straddles; when party n is not in c, parties min(c) and n swap,
+    and each new label reads the old label of the same side; the helpers
+    go from the highest party down, each measured after the least power
+    that keeps below 1 every child of two parents below 1, its child k
+    summing the two labels that inserting its bit into k gives.  The
+    half-gap stays 1, and the corners, which decide nothing, are left out.
+    """
+    cset, dset = frozenset(c), frozenset(d)
+    n = state.n
+    half = (Fraction(state.lam0_plus) - Fraction(state.lam0_minus)) / 2
+    lam = [Fraction(v) / half for v in state.lam]
+
+    def held() -> None:
+        assert all(type(v) is Fraction for v in lam)
+
+    held()
+    for g in grouping.groups:
+        if len(g) > 1:
+            lam = [Fraction(0) if straddles(Splitting(n, m), g) else v
+                   for m, v in enumerate(lam, start=1)]
+    held()
+    low = n if n in cset else min(cset)
+    new = {q: n if q == low else low if q == n else q for q in range(1, n + 1)}
+    if low != n:
+        # new party p is old party new[p], since the relabel is a swap
+        lam = [lam[Splitting.from_side(n, {new[p] for p in Splitting(n, m).side_b}).mask - 1]
+               for m in range(1, len(lam) + 1)]
+        held()
+    kept = sorted(new[q] for q in cset | dset)
+    powers = []
+    for helper in [q for q in range(n, 0, -1) if q not in kept]:
+        bit = 1 << (helper - 1)
+        parents = []
+        for k in range(1, 1 << (n - 2)):
+            p0 = (k >> (helper - 1)) << helper | k & (bit - 1)
+            parents.append((lam[p0 - 1], lam[(p0 | bit) - 1]))
+        m = max([_least_exact_power(a, b) for a, b in parents if a < 1 and b < 1], default=1)
+        powers.append(m)
+        lam = [a ** m + b ** m for a, b in parents]
+        n -= 1
+        held()
+    dnew = {new[q] for q in dset}
+    label = party_bitmask(rank for rank, q in enumerate(kept, start=1) if q in dnew)
+    return tuple(powers), lam[label - 1]

@@ -507,6 +507,7 @@ def test_protocol_json_success(vi_state_file, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "pipeline"
     assert doc["succeeded"] is True
+    assert doc["precision_limited"] is False
     assert doc["witness"] is None
     assert doc["final_split"]["splitting"] == "(A2)-(A1)"
     assert doc["outcome"]["fidelity"] == pytest.approx(1.0)
@@ -551,6 +552,20 @@ def test_protocol_pretty(vi_state_file, capsys):
         "--grouping", "1,3|2|4", "--pair", "1", "2", "--pretty",
     )
     assert "blocked by (A2A4)-(A1A3)" in out
+
+
+def test_protocol_says_when_floats_cannot_show_the_margin(tmp_path, capsys):
+    # the pair ends at 0.99995 of the half-gap, a margin the amplified float states lose
+    path = str(tmp_path / "thin.json")
+    assert run(capsys, "construct", "--random", "--n", "6", "--seed", "20", "-o", path)[0] == 0
+    args = ("protocol", "--state", path, "--grouping", "1,5|2|3|4|6", "--pair", "1", "4", "--assert")
+    for flags in ((), ("--json-trace",)):
+        rc, out, _ = run(capsys, *args, *flags)
+        doc = json.loads(out)
+        assert rc == 0 and doc["succeeded"] is True and doc["precision_limited"] is True
+    rc, out, _ = run(capsys, *args, "--pretty")
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(", distillable (precision limited)")
 
 
 def test_verify_agreement(tmp_path, capsys):

@@ -109,6 +109,20 @@ def test_reference_uses_no_oracle_code():
     assert [m for m in modules if m.split(".")[:2] == ["entact", "oracle"]] == []
 
 
+def test_reference_uses_no_protocol_code():
+    # the exact replay checks the pipeline, so it writes every move from its definition
+    _, modules = _imports(ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8")))
+    shared = []
+    for module in modules:
+        parts = module.split(".")
+        if parts[0] != "entact" or len(parts) < 2:
+            continue
+        source = getattr(getattr(entact, parts[1], None), "__module__", None)
+        if parts[1] == "protocols" or len(parts) == 2 and source == "entact.protocols":
+            shared.append(module)
+    assert shared == []
+
+
 def test_importing_the_package_leaves_numpy_unloaded():
     # only the dense oracle needs numpy; every other command starts without it
     code = "import sys, entact, entact.cli; print('numpy' in sys.modules)"

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 from itertools import combinations
 
 import pytest
@@ -28,7 +30,7 @@ from entact import (
     validate,
 )
 from entact.model import _Kept
-from reference import coefficients_from_density, dense_projector_sum, permute_dense
+from reference import coefficients_from_density, dense_projector_sum, exact_pipeline, permute_dense
 
 
 def test_amplify_identity_and_ratio_law():
@@ -145,13 +147,53 @@ def test_required_amplification_leaves_a_label_on_the_threshold_out():
     assert state.indicator_vector() == (1, 0, 1)
 
 
-def test_measure_near_threshold_ratios_exhaust_the_cap():
+def test_measure_near_threshold_ratios_take_the_least_power():
+    # both parents sit 1e-9 below the half-gap, so the least power is about ln 2 / 1e-9;
+    # the bisection finds it with no cap on the search
     near = 0.2 * (1.0 - 1e-9)
     state = FamilyState.from_unnormalized(3, 0.4, 0.0, (0.0, near, near))
-    with pytest.raises(DegenerateStateError):
-        required_amplification(state, 1)
-    with pytest.raises(DegenerateStateError):
-        measure_out_party(amplify(state, required_amplification(state, 1)), 1)
+    assert required_amplification(state, 1) == 693_147_277
+    assert measure_out_party(amplify(state, 693_147_277), 1).indicator_vector() == (1,)
+
+
+def test_an_amplified_separable_ratio_past_the_float_range_is_refused():
+    # measuring party 2 needs power 69 for the two parents at 0.99 of the half-gap, which
+    # takes the separable label at 1e5 half-gaps to 1e345
+    state = FamilyState.from_unnormalized(3, 1.0, 0.0, (0.495, 5e4, 0.495))
+    with pytest.raises(DegenerateStateError,
+                       match=r"^measuring party 2 out: power 69 takes the ratio of label 2 past"):
+        distill_pipeline(state, Grouping.all_separate(3), {1}, {3})
+    assert exact_pipeline(state, Grouping.all_separate(3), {1}, {3})[0] == (69,)
+    with pytest.raises(DegenerateStateError, match=r"^power 69 takes the ratio of label 2 past"):
+        amplify(state, 69)
+
+
+def test_a_gap_too_thin_for_the_ratios_is_refused_and_no_gap_is_blocked():
+    # a subnormal half-gap puts label 3's ratio past the float range before any power;
+    # swapping parties 1 and 3 to put the anchor in c makes it label 1
+    thin = FamilyState.from_unnormalized(3, 1e-320, 0.0, (0.0, 0.0, 0.5))
+    assert necessary_distillable(thin, Grouping.all_separate(3), {1}, {2})
+    with pytest.raises(DegenerateStateError, match="past the float range, the largest at label 1$"):
+        distill_pipeline(thin, Grouping.all_separate(3), {1}, {2})
+    # with no gap every label is separable, so the verdict stops the run at its witness
+    flat = FamilyState(3, 0.25, 0.25, (0.125, 0.0, 0.125))
+    trace = distill_pipeline(flat, Grouping.all_separate(3), {1}, {2})
+    assert trace.witness is not None and trace.steps[0].digest == "000"
+    assert not trace.precision_limited
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=5e-324, max_value=1e307), st.floats(min_value=0.0, max_value=1.7e308),
+       st.integers(min_value=-3, max_value=3))
+def test_the_ratio_test_agrees_with_the_weight_test(half, v, ulps):
+    # the pipeline reads v / h < 1.0 where FamilyState._indicators reads v < h
+    near = half
+    for _ in range(abs(ulps)):
+        near = math.nextafter(near, math.inf if ulps > 0 else 0.0)
+    for w in (v, near):
+        assert (w < half) == (w / half < 1.0)
+        state = FamilyState(2, 2.0 * half, 0.0, (w,))
+        assert (protocols._ratios(state)[1][0] < 1.0) == bool(state.indicator(1))
 
 
 def test_join_povm_straddled_labels_drop():
@@ -340,17 +382,18 @@ def _trace_digest(runs) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-# run count and sha256 of the repr of every trace, floats included: the moves keep
-# every float operation, its operands and its order
-PINNED_FULL_TRACES = (3359, "89c13ea57df2f4487cdc502357c61d4250d96d12de83faa9a660a2520e2e3df1")
+# run count and sha256 of the repr of every trace, floats and ratios included: the moves
+# keep every float operation, its operands and its order
+PINNED_FULL_TRACES = (3359, "b737b2808327468b11f5cad4979b514bbf3c51afcf5a0620f7348d8a84424764")
 
 
 def test_every_pipeline_trace_matches_its_pinned_bytes():
     assert _trace_digest(_every_pipeline_run()) == PINNED_FULL_TRACES
 
 
-# ROADMAP item 1: floating point cancels the corner gap once amplification lets the
-# separable labels dominate, so these distillable pairs end with succeeded=False
+# float corners cancel the gap once amplification lets the separable labels dominate,
+# so these distillable pairs end below the half-gap by a margin the states cannot show;
+# the ratios keep it (the exact final ratios are 0.9999512... and 0.9882684...)
 THIN_MARGIN_RUNS = [
     (random_family_state(6, 20), Grouping.from_sets(6, [[1, 5], [2], [3], [4], [6]]), {1, 5}, {4}),
     (FamilyState(4, 0.13104544789632247, 0.002456817677348717,
@@ -359,6 +402,7 @@ THIN_MARGIN_RUNS = [
                   0.06073548286556999)),
      Grouping.all_separate(4), {1}, {3}),
 ]
+THIN_MARGIN_RATIOS = (0.99995, 0.98827)
 
 
 @pytest.mark.parametrize("state, grouping, c, d", THIN_MARGIN_RUNS, ids=["seed-20", "n4"])
@@ -367,10 +411,59 @@ def test_thin_margin_pairs_are_distillable(state, grouping, c, d):
     assert necessary_distillable(state, grouping, c, d)
 
 
-@pytest.mark.xfail(strict=True, reason="the float pipeline loses the thin corner gap (ROADMAP item 1)")
-@pytest.mark.parametrize("state, grouping, c, d", THIN_MARGIN_RUNS, ids=["seed-20", "n4"])
-def test_thin_margin_pairs_distill(state, grouping, c, d):
-    assert distill_pipeline(state, grouping, c, d).succeeded
+@pytest.mark.parametrize("run, ratio", zip(THIN_MARGIN_RUNS, THIN_MARGIN_RATIOS), ids=["seed-20", "n4"])
+def test_thin_margin_pairs_distill(run, ratio):
+    trace = distill_pipeline(*run)
+    assert trace.succeeded
+    final = trace.steps[-1].ratios[trace.final_split.mask - 1]
+    assert final < 1.0 and final == pytest.approx(ratio, abs=5e-6)
+    assert trace.precision_limited
+
+
+def _near_threshold_state(n, seed):
+    """A state whose labels all weigh within 10 % of its half-gap."""
+    rng = random.Random(7000 + 10 * seed + n)
+    u = rng.random()
+    half = (1 - 0.5 * u) / 2
+    lam = [half * (1 + 0.1 * rng.uniform(-1, 1)) for _ in range((1 << (n - 1)) - 1)]
+    return FamilyState.from_unnormalized(n, 1.0, 0.5 * u, lam)
+
+
+def _powers(trace):
+    return tuple(s.amplification for s in trace.steps if s.kind == "measure")
+
+
+def test_near_threshold_pairs_distill_with_the_exact_powers():
+    # every grouping and pair of 45 near-threshold states; an error or a failure here is a
+    # distillable pair the float pipeline lost
+    distillable = 0
+    for n, seeds in ((4, range(20)), (5, range(20)), (6, range(5))):
+        for seed in seeds:
+            state = _near_threshold_state(n, seed)
+            for blocks in iter_set_partitions(n):
+                grouping = Grouping.from_sets(n, blocks)
+                for c, d in combinations(grouping.groups, 2):
+                    if not necessary_distillable(state, grouping, c, d):
+                        continue
+                    distillable += 1
+                    trace = distill_pipeline(state, grouping, c, d)
+                    powers, final = exact_pipeline(state, grouping, c, d)
+                    where = (n, seed, str(grouping), sorted(c), sorted(d))
+                    assert trace.succeeded and final < 1, where
+                    assert _powers(trace) == powers, where
+    assert distillable == 1326
+
+
+def test_every_pipeline_run_matches_its_exact_replay():
+    count = 0
+    for state, grouping, c, d in _every_pipeline_run():
+        trace = distill_pipeline(state, grouping, c, d)
+        count += 1
+        assert not trace.precision_limited
+        if trace.witness is None:
+            powers, final = exact_pipeline(state, grouping, c, d)
+            assert (_powers(trace), trace.succeeded) == (powers, final < 1)
+    assert count == 3359
 
 
 def _swap_orders(n):
