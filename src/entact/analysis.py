@@ -6,24 +6,25 @@ The answer needs only the indicator vector.  A splitting blocks the pair
 when it puts c opposite d, carries indicator 0, and is straddled by no
 group; the pair is distillable exactly when no splitting blocks it.
 
-Every verdict reads one table, built by `model._union_table`: the
-splittings no group straddles, which are the unions of the groups
-lacking party n, and for each group the unions that hold it.  A union
-separates two groups exactly when it holds one of them, so
-`grouping_report`, the single-pair verdicts and the clauses of
-`_compile` are all reads of the table of their grouping, which each
-Grouping builds once and holds.  A sweep reads one table per partition
-of parties 1..n-1, that of the grouping with party n alone, and shares
-it across the placements of party n: when party n joins group i, the
-grouping's unions are those without group i, so masking them out of
-the shared table gives the same signatures in the same label order.
+Every verdict is bit arithmetic on label masks in the layout of
+`Specification.to_int`, bit m - 1 for label m.  The splittings no group
+straddles are the unions of the groups lacking party n, and each
+Grouping keeps, per group, the mask of those that hold it
+(`model._holding_labels`).  A union separates two groups exactly when it
+holds one of them, so groups i and j are separated by the labels in
+holds[i] ^ holds[j]; the state enters as one mask of its indicator-0
+labels, `_zero_labels`.  `grouping_report`, the single-pair verdicts and
+the clauses of `_compile` all read those masks.  A sweep reads one set
+of masks per partition of parties 1..n-1, that of the grouping with
+party n alone, and shares it across the placements of party n: when
+party n joins group i, the grouping's unions are those without group i,
+so masking out the labels that hold group i gives its signatures.
 The Groupings of those placements, a head of them per partition, depend
 on n alone: they form the sweep's skeleton, which `_sweep` keeps in
 `_skeletons` for every later full sweep of at most `_KEPT_PARTIES` (8)
-parties.  Groups
-distill exactly when the same indicator-0 unions hold both:
-distillability within a grouping is an equivalence, whose classes are
-the GHZ-capable collections.
+parties.  Groups distill exactly when the same indicator-0 labels hold
+both: distillability within a grouping is an equivalence, whose classes
+are the GHZ-capable collections.
 """
 from __future__ import annotations
 
@@ -49,13 +50,10 @@ _MEMO_CAP = 1 << 14
 _skeletons: dict[int, list[tuple[Grouping, ...]]] = {}
 
 
-def _zero_unions(indicator: Sequence[int], unions: Sequence[int]) -> int:
-    """Bitmask of the unions with indicator 0: the splittings that can block a pair."""
-    zero = 0
-    for s in range(1, len(unions)):
-        if not indicator[unions[s] - 1]:
-            zero |= 1 << s
-    return zero
+def _zero_labels(state: FamilyState | Specification) -> int:
+    """Bitmask of the labels with indicator 0: the splittings that can block a pair."""
+    # one binary digit per label, the highest first: 1 where the indicator is 0
+    return int("".join(["0" if v else "1" for v in reversed(state.indicator_vector())]), 2)
 
 
 def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
@@ -80,15 +78,16 @@ def _resolve_pair(n: int, grouping: Grouping, c, d) -> tuple[int, int]:
 def _pair_label(state: FamilyState | Specification, grouping: Grouping, c, d) -> int:
     """Lowest label blocking groups c and d, or 0 when the pair distills.
 
-    Reads the separating unions lowest first and stops at the first with indicator 0.
+    Reads the separating labels, holds[i] ^ holds[j], lowest first and
+    stops at the first with indicator 0.
     """
     i, j = _resolve_pair(state.n, grouping, c, d)
-    unions, inside = grouping._unions
+    holds = grouping._holds
     indicator = state.indicator_vector()
-    separating = inside[i] ^ inside[j]
+    separating = holds[i] ^ holds[j]
     while separating:
         low = separating & -separating
-        label = unions[low.bit_length() - 1]
+        label = low.bit_length()
         if not indicator[label - 1]:
             return label
         separating ^= low
@@ -148,16 +147,15 @@ class GroupingReport:
 
 
 def _report(
-    grouping: Grouping, unions: Sequence[int], sig: Sequence[int],
-    index_pairs: Iterable[tuple[int, int]], memo: _Memo,
+    grouping: Grouping, sig: Sequence[int], index_pairs: Iterable[tuple[int, int]], memo: _Memo,
 ) -> GroupingReport:
-    """The report of `grouping` from its signatures over the union table `unions`.
+    """The report of `grouping` from the signatures of its groups.
 
-    sig[i] is the bitmask of the indicator-0 unions holding group i, over
-    a table whose label grows with the union index; `index_pairs` are
-    the pairs (i, j), i < j, of its groups in order.  Groups i and j are
-    blocked by the lowest union where their signatures differ.  The
-    memo's Splitting and PairVerdict objects are reused and extended.
+    sig[i] is the mask of the indicator-0 labels holding group i, bit
+    m - 1 for label m; `index_pairs` are the pairs (i, j), i < j, of its
+    groups in order.  Groups i and j are blocked by the lowest label
+    where their signatures differ, 0 when none does.  The memo's
+    Splitting and PairVerdict objects are reused and extended.
     """
     groups = grouping.groups
     masks = grouping.masks
@@ -166,7 +164,7 @@ def _report(
     linked = False
     for i, j in index_pairs:
         blockers = sig[i] ^ sig[j]
-        label = unions[(blockers & -blockers).bit_length() - 1] if blockers else 0
+        label = (blockers & -blockers).bit_length()
         key = (masks[i], masks[j], label)
         pv = verdicts.get(key)
         if pv is None:
@@ -189,17 +187,27 @@ def grouping_report(state: FamilyState | Specification, grouping: Grouping) -> G
     """Verdict for every pair of groups, plus the largest GHZ-capable collection.
 
     Groups i and j distill exactly when their signatures, the
-    indicator-0 unions holding each, are equal, so the groups whose
+    indicator-0 labels holding each, are equal, so the groups whose
     pairs all distill, which can share a GHZ-type state, are the classes
     of equal signatures, and `ghz` is the largest class (on ties, the one
     with the lowest group-index bitmask).  The report depends on the
     indicator vector alone, as every verdict does.
     """
     _check_same_n(state.n, grouping.n, "grouping", "the input")
-    unions, inside = grouping._unions
-    zero = _zero_unions(state.indicator_vector(), unions)
-    sig = [zero & s for s in inside]
-    return _report(grouping, unions, sig, combinations(range(len(inside)), 2), ({0: None}, {}))
+    return next(_reports(state, (grouping,)))
+
+
+def _reports(
+    state: FamilyState | Specification, groupings: Iterable[Grouping]
+) -> Iterator[GroupingReport]:
+    """The report of each grouping, from one zero mask and one memo, reset at `_MEMO_CAP`."""
+    zero = _zero_labels(state)
+    memo: _Memo = ({0: None}, {})
+    for grouping in groupings:
+        if len(memo[1]) >= _MEMO_CAP:
+            memo = ({0: None}, {})
+        sig = [zero & h for h in grouping._holds]
+        yield _report(grouping, sig, combinations(range(len(sig)), 2), memo)
 
 
 def _grow(n: int, least: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -275,15 +283,15 @@ def _sweep(state: FamilyState | Specification) -> Iterator[GroupingReport]:
     """Reports of every grouping, in restricted-growth order.
 
     The skeleton's heads are kept ones, or built whole and kept for at
-    most _KEPT_PARTIES parties, else walked.  The state enters only here:
-    one mask of indicator-0 unions per head, and the signatures of its
-    placements read off it.  A head's union table is that of its last
-    Grouping, party n alone as group m, and serves all m + 1 placements.
-    Its unions are those of the groups lacking party n, and no union
-    holds group m; when party n joins group i, the grouping's own unions
-    are those without group i, and masking them out keeps their label
-    order, so every lowest label is the same.  Group i's signature is
-    then 0 in every placement.
+    most _KEPT_PARTIES parties, else walked.  The state enters only here,
+    as one mask of indicator-0 labels per sweep.  A head's label masks
+    are those of its last Grouping, party n alone as group m, and serve
+    all m + 1 placements.  Its unions are those of the groups lacking
+    party n, and no union holds group m; when party n joins group i, the
+    grouping's own unions are those without group i, so a placement's
+    signatures are those of the head with the labels holding group i
+    masked out.  Group i's signature is then 0, as the group of party n
+    holds no label.
     """
     n = state.n
     heads = _skeletons.get(n)
@@ -291,21 +299,20 @@ def _sweep(state: FamilyState | Specification) -> Iterator[GroupingReport]:
         heads = _build_skeleton(n)
         if n <= _KEPT_PARTIES:
             heads = _skeletons[n] = list(heads)
-    indicator = state.indicator_vector()
+    zero = _zero_labels(state)
     pairs = [tuple(combinations(range(k), 2)) for k in range(n + 1)]  # by group count
     memo: _Memo = ({0: None}, {})
     for head in heads:
         *joined, alone = head
-        unions, inside = alone._unions
-        zero = _zero_unions(indicator, unions)
-        zero_in = [zero & s for s in inside]  # each group's indicator-0 unions
+        holds = alone._holds
+        zero_in = [zero & h for h in holds]  # each group's indicator-0 labels
         m = len(joined)
         if len(memo[1]) >= _MEMO_CAP:
             memo = ({0: None}, {})
         for i, grouping in enumerate(joined):
-            out = ~inside[i]
-            yield _report(grouping, unions, [out & z for z in zero_in[:m]], pairs[m], memo)
-        yield _report(alone, unions, zero_in, pairs[m + 1], memo)
+            out = ~holds[i]
+            yield _report(grouping, [out & z for z in zero_in[:m]], pairs[m], memo)
+        yield _report(alone, zero_in, pairs[m + 1], memo)
 
 
 def _check_sweep(n: int, guard: object, name: str = "guard") -> None:
@@ -321,25 +328,27 @@ def classify_groupings(
 ) -> Iterator[GroupingReport]:
     """Report every grouping of the parties (or every two-group split).
 
-    The reports read the indicator vector alone.  A full sweep reads one
-    union table per partition of parties 1..n-1, shared by the
+    The reports read the indicator vector alone, as one mask of its
+    indicator-0 labels per sweep.  A full sweep reads the label masks of
+    one grouping per partition of parties 1..n-1, shared by the
     placements of party n; the Groupings of those placements, which
-    hold the tables, are its skeleton.  The first full sweep of at most
+    hold the masks, are its skeleton.  The first full sweep of at most
     `_KEPT_PARTIES` (8) parties builds it whole before its first report
     and keeps it in `_skeletons`, and later sweeps reuse it, so their
     reports hold the same Grouping objects.  Those of 2..8 parties
-    together keep 5,294 Groupings in 1.9 MB; a larger skeleton is walked
+    together keep 5,294 Groupings in 1.8 MB; a larger skeleton is walked
     on every sweep and never kept.  The reports of one full sweep share
     their immutable PairVerdict and Splitting objects until the memo
     reaches `_MEMO_CAP` verdicts and starts afresh.  A two-group split
-    is one `grouping_report` per bipartition, and keeps nothing.  The
-    number of set partitions grows very fast, hence the guard on the
-    party count, checked when the sweep is asked for; raise it knowingly.
+    reads the masks of each bipartition's own Grouping, shares one memo
+    in the same way, and keeps nothing.  The number of set partitions
+    grows very fast, hence the guard on the party count, checked when
+    the sweep is asked for; raise it knowingly.
     """
     _check_sweep(state.n, guard)
     if two_groups_only:
         n = state.n
-        return (grouping_report(state, Grouping.from_masks(n, masks)) for masks in _grow(n, 2, 2))
+        return _reports(state, (Grouping.from_masks(n, masks) for masks in _grow(n, 2, 2)))
     return _sweep(state)
 
 
@@ -369,12 +378,6 @@ class Clauses:
         return self.holds(spec.to_int())
 
 
-def _label_set(unions: Sequence[int], inside: Sequence[int], i: int, j: int) -> int:
-    """Bitmask of U(g, c, d) for groups i and j: the pair is distillable exactly when all of it is 1."""
-    separating = inside[i] ^ inside[j]
-    return sum(1 << (u - 1) for s, u in enumerate(unions) if separating >> s & 1)
-
-
 def _compile(
     n: int,
     activate: Iterable[tuple[Grouping, set[int], set[int]]],
@@ -385,6 +388,8 @@ def _compile(
 
     Every (g, c, d) in `activate` must be distillable, no pair of any
     grouping in `silent` may be, and every label in `zero_labels` is 0.
+    The label set of groups i and j, holds[i] ^ holds[j], is what
+    separates them; the pair is distillable exactly when all of it is 1.
     A demanded pair puts its whole label set into `ones`; a forbidden
     pair needs some label of its set to be 0.  A non-empty `ones` also
     makes the pattern entangled, so that needs no clause of its own.
@@ -392,12 +397,11 @@ def _compile(
     ones = 0
     for grouping, c, d in activate:
         i, j = _resolve_pair(n, grouping, c, d)
-        ones |= _label_set(*grouping._unions, i, j)
+        ones |= grouping._holds[i] ^ grouping._holds[j]
     zeros = [1 << (m - 1) for m in zero_labels]
     for grouping in silent:
         _check_same_n(n, grouping.n, "grouping", "the input")
-        unions, inside = grouping._unions
-        zeros += [_label_set(unions, inside, i, j) for i, j in combinations(range(len(inside)), 2)]
+        zeros += [a ^ b for a, b in combinations(grouping._holds, 2)]
     assert ones, "a requirement without a demanded activation does not imply entanglement"
     return Clauses(n, ones, tuple(zeros))
 

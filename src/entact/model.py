@@ -411,31 +411,28 @@ def _check_group_masks(n: int, masks: tuple[int, ...]) -> None:
         raise _cover_error(n, union, parties_from_bitmask(union >> n << n))
 
 
-def _union_table(group_masks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The splittings no group straddles, and which of them hold each group.
+def _holding_labels(group_masks: Sequence[int]) -> tuple[int, ...]:
+    """For each group, the labels of the splittings no group straddles that hold it.
 
-    Such a splitting has a union of groups on each side, and its label is
-    the side without party n: a union of the groups lacking party n, which
-    are all groups but the one with the largest mask.  Union s joins
-    those groups at the bits of s; with the groups in ascending mask
-    order its label grows with s, since disjoint masks compare by their
-    highest party.  Returns (unions, inside): unions[s] is the label of
-    union s (unions[0] = 0 is no splitting), and bit s of inside[i] is
-    set when union s holds group i.  Union s separates groups i and j
-    exactly at the bits of inside[i] ^ inside[j].
+    Such a splitting has whole groups on each side, and its label, the
+    side without party n, is a union of the groups lacking party n: all
+    groups but the one with the largest mask.  Entry i has bit m - 1 set
+    when union m holds group i, the layout of `Specification.to_int`; the
+    group of party n holds no label.  Disjoint masks add, so joining
+    group g to every union so far shifts the labels by g: the unions,
+    bit u for union u, grow as A | A << g, and each earlier group's entry
+    as h | h << g.  Groups i and j are separated by the labels in
+    holds[i] ^ holds[j].
     """
-    free = sorted(range(len(group_masks)), key=group_masks.__getitem__)[:-1]
-    # union s holds the group at position p of free when bit p of s is set:
-    # runs of 2^p clear and 2^p set bits
-    full = (1 << (1 << len(free))) - 1
-    unions = [0]
-    inside = [0] * len(group_masks)
-    for i in free:
-        g = group_masks[i]
-        run = len(unions)
-        unions += [u | g for u in unions]
-        inside[i] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    return unions, inside
+    last = max(group_masks)
+    unions = 1  # the empty union, label 0, which is no splitting
+    holds = [0] * len(group_masks)
+    for i, g in enumerate(group_masks):
+        if g != last:
+            holds = [h | h << g for h in holds]
+            holds[i] = unions << g
+            unions |= unions << g
+    return tuple(h >> 1 for h in holds)
 
 
 @dataclass(frozen=True)
@@ -443,9 +440,9 @@ class Grouping:
     """A set partition of the parties into cooperating groups.
 
     `groups` is kept in canonical order, by smallest member; `masks`
-    holds the bitmask of each group in the same order.  `_unions`, the
-    union table every verdict on the grouping reads, is built on first
-    use and kept, as `FamilyState._indicators` is.
+    holds the bitmask of each group in the same order.  `_holds`, the
+    label masks every verdict on the grouping reads (`_holding_labels`),
+    is built on first use and kept, as `FamilyState._indicators` is.
     """
 
     n: int
@@ -507,10 +504,9 @@ class Grouping:
         return cls(n, tuple(groups))
 
     @cached_property
-    def _unions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The union table of the groups, `_union_table`, built once per instance."""
-        unions, inside = _union_table(self.masks)
-        return tuple(unions), tuple(inside)
+    def _holds(self) -> tuple[int, ...]:
+        """The label mask of each group, `_holding_labels`, built once per instance."""
+        return _holding_labels(self.masks)
 
     def group_of(self, party: int) -> frozenset[int]:
         bit = 1 << (_check_party(party, self.n) - 1)

@@ -331,8 +331,12 @@ def distill_pipeline(state: FamilyState, grouping: Grouping, c, d) -> PipelineTr
     collapse the remaining c-d splitting to its effective pair.  Every
     move runs on the ratios to the half-gap, which the moves leave at 1,
     and `succeeded` reads the final pair's ratio.  Whenever the verdict
-    holds this ends in a distillable pair.
+    holds this ends in a distillable pair.  The moves act on weights, so
+    a Specification is refused: `from_specification` realizes one.
     """
+    if not isinstance(state, FamilyState):
+        raise ValueError(f"the protocol runs on a FamilyState, got {type(state).__name__}; "
+                         "realize a Specification with from_specification first")
     cset = frozenset(c)
     dset = frozenset(d)
     note = f"input state on {state.n} parties"

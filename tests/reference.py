@@ -3,7 +3,7 @@
 `separating_splittings` lists every splitting that puts two party sets on
 opposite sides, and `straddles` says whether a group has members on both
 sides of a splitting.  The package decides the same questions from one
-table of group unions.  `dense_projector_sum` writes a state out as the
+label mask per group.  `dense_projector_sum` writes a state out as the
 plain sum of full-size basis projectors, which the oracle's support-only
 build must reproduce bit for bit, and `partial_transpose_dense` swaps
 tensor axes, which the oracle's index map must reproduce bit for bit.

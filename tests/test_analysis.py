@@ -30,6 +30,33 @@ from reference import separating_splittings, straddles
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
+def _sampled_groupings(n, count, seed):
+    """`count` seeded random groupings of n parties, each of 1 to n groups."""
+    rng = random.Random(seed)
+    groupings = []
+    for _ in range(count):
+        owner = [rng.randrange(rng.randint(2, n)) for _ in range(n)]
+        blocks = [[p for p in range(1, n + 1) if owner[p - 1] == b] for b in sorted(set(owner))]
+        groupings.append(Grouping.from_sets(n, blocks))
+    return groupings
+
+
+def _wide_reference_cases():
+    """Sampled groupings at n = 9..12, where the label masks span several machine words.
+
+    Per n, a random state and a realized pattern with every label below 64
+    at 1, so that each of its blockers lies beyond the first word.
+    """
+    cases = []
+    for n in range(9, 13):
+        rng = random.Random(n)
+        spec = Specification.from_function(n, lambda m: m < 64 or rng.random() < 0.9)
+        groupings = _sampled_groupings(n, 6, seed=n)
+        cases += [(random_family_state(n, seed=100 * n), groupings),
+                  (from_specification(spec), groupings)]
+    return cases
+
+
 def test_pair_verdict_worked_cases():
     state = example_state("VI")
     good = Grouping.from_sets(4, [[1], [2], [3, 4]])
@@ -93,23 +120,24 @@ def test_witness_properties_hold_whenever_reported():
             dbits = {w.bit(p) for p in pv.d}
             assert len(cbits) == 1 and len(dbits) == 1 and cbits != dbits
     # reference: scan every separating splitting for the lowest blocking one
-    for n in range(3, 7):
-        for seed in range(4):
-            state = random_family_state(n, seed=100 * n + seed)
-            for part in iter_set_partitions(n):
-                grouping = Grouping.from_sets(n, part)
-                for c in grouping.groups:
-                    for d in grouping.groups:
-                        if c == d:
-                            continue
-                        want = next(
-                            (sp for sp in separating_splittings(n, c, d)
-                             if state.indicator(sp.mask) == 0
-                             and not any(straddles(sp, g) for g in grouping.groups)),
-                            None,
-                        )
-                        assert distillation_witness(state, grouping, c, d) == want
-                        assert necessary_distillable(state, grouping, c, d) == (want is None)
+    cases = [(random_family_state(n, seed=100 * n + seed),
+              [Grouping.from_sets(n, part) for part in iter_set_partitions(n)])
+             for n in range(3, 7) for seed in range(4)]
+    for state, groupings in cases + _wide_reference_cases():
+        n = state.n
+        for grouping in groupings:
+            for c in grouping.groups:
+                for d in grouping.groups:
+                    if c == d:
+                        continue
+                    want = next(
+                        (sp for sp in separating_splittings(n, c, d)
+                         if state.indicator(sp.mask) == 0
+                         and not any(straddles(sp, g) for g in grouping.groups)),
+                        None,
+                    )
+                    assert distillation_witness(state, grouping, c, d) == want
+                    assert necessary_distillable(state, grouping, c, d) == (want is None)
 
 
 def test_grouping_report_shape():
@@ -536,17 +564,23 @@ def _reference_label_set(grouping, c, d):
 
 
 def test_compiled_clauses_match_reference_scan():
-    for n in range(3, 7):
-        for part in iter_set_partitions(n):
-            grouping = Grouping.from_sets(n, part)
-            pairs = list(combinations(grouping.groups, 2))
-            for c, d in pairs:
-                want = _reference_label_set(grouping, c, d)
-                assert _compile(n, [(grouping, c, d)], []).ones == want
-                assert _compile(n, [(grouping, d, c)], []).ones == want
-            if pairs:
-                clauses = _compile(n, [(grouping, *pairs[0])], [grouping])
-                assert clauses.zeros == tuple(_reference_label_set(grouping, c, d) for c, d in pairs)
+    groupings = [Grouping.from_sets(n, part) for n in range(3, 7) for part in iter_set_partitions(n)]
+    # past n = 7 the label masks span several machine words
+    groupings += [g for n in range(9, 13) for g in _sampled_groupings(n, 6, seed=n)]
+    for grouping in groupings:
+        n = grouping.n
+        holds = grouping._holds
+        # party n sits on the unlabeled side of every splitting, so its group holds no label
+        assert holds[grouping.groups.index(grouping.group_of(n))] == 0
+        pairs = list(combinations(grouping.groups, 2))
+        for c, d in pairs:
+            want = _reference_label_set(grouping, c, d)
+            assert holds[grouping.groups.index(c)] ^ holds[grouping.groups.index(d)] == want
+            assert _compile(n, [(grouping, c, d)], []).ones == want
+            assert _compile(n, [(grouping, d, c)], []).ones == want
+        if pairs:
+            clauses = _compile(n, [(grouping, *pairs[0])], [grouping])
+            assert clauses.zeros == tuple(_reference_label_set(grouping, c, d) for c, d in pairs)
 
 
 def test_search_returns_descending_first_match():

@@ -153,3 +153,11 @@ def test_every_name_the_benchmark_traces_resolves():
     found = entact.search_specifications(5, lambda spec: requirement(spec))
     assert found == entact.example_pattern("VII")
 
+
+def test_every_source_parses_as_python_3_10():
+    # the package declares requires-python >= 3.10; a 3.11-only construct would fail only there
+    sources = [path for top in ("src/entact", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(sources) >= 20
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

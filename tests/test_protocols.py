@@ -18,6 +18,7 @@ from entact import (
     Splitting,
     amplify,
     distill_pipeline,
+    example_pattern,
     example_state,
     iter_set_partitions,
     join_povm,
@@ -309,6 +310,16 @@ def test_pipeline_reports_witness_on_failure():
     assert trace.witness.mask == 5
     assert trace.outcome is None
     assert [step.kind for step in trace.steps] == ["start"]
+
+
+@pytest.mark.parametrize("groups", [[[1], [2], [3, 4]], [[1], [2], [3], [4]]])
+def test_pipeline_refuses_a_specification(groups):
+    # the verdicts read a Specification, but the moves need weights: the joined grouping
+    # used to fail on a missing `delta`, and the all-separate one returned a blocked trace
+    # whose `precision_limited` failed the same way
+    with pytest.raises(ValueError, match="^the protocol runs on a FamilyState, got Specification; "
+                                         "realize a Specification with from_specification first$"):
+        distill_pipeline(example_pattern("VI"), Grouping.from_sets(4, groups), {1}, {2})
 
 
 def test_pipeline_validates_pair_membership():
