@@ -118,7 +118,7 @@ def distillation_witness(
     return Splitting(state.n, label) if label else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairVerdict:
     """Verdict for one unordered pair of groups."""
 
@@ -128,7 +128,7 @@ class PairVerdict:
     witness: Splitting | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupingReport:
     """Pair verdicts of one grouping, an equivalence on its groups, and `ghz`, its largest class."""
 
@@ -336,7 +336,7 @@ def classify_groupings(
     `_KEPT_PARTIES` (8) parties builds it whole before its first report
     and keeps it in `_skeletons`, and later sweeps reuse it, so their
     reports hold the same Grouping objects.  Those of 2..8 parties
-    together keep 5,294 Groupings in 1.8 MB; a larger skeleton is walked
+    together keep 5,294 Groupings in 1.5 MB; a larger skeleton is walked
     on every sweep and never kept.  The reports of one full sweep share
     their immutable PairVerdict and Splitting objects until the memo
     reaches `_MEMO_CAP` verdicts and starts afresh.  A two-group split
@@ -355,7 +355,7 @@ def classify_groupings(
 Requirement = Callable[[Specification], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clauses:
     """A requirement compiled to label bitmasks, bit m-1 for label m.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 NORMALIZATION_TOL = 1e-12
@@ -206,7 +206,7 @@ def _check_order(n: int, order: Iterable[int]) -> tuple[int, ...]:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Splitting:
     """One bipartition of the n parties, stored by its side-B label."""
 
@@ -241,11 +241,14 @@ class Splitting:
         return frozenset(range(1, self.n + 1)) - self.side_b
 
     def __str__(self) -> str:
-        fmt = lambda side: "".join(f"A{p}" for p in sorted(side))
-        return f"({fmt(self.side_a)})-({fmt(self.side_b)})"
+        # one pass over parties 1..n: bit p - 1 of the label puts party p on side B
+        mask, sides = self.mask, ([], [])
+        for p in range(1, self.n + 1):
+            sides[mask >> (p - 1) & 1].append(f"A{p}")
+        return f"({''.join(sides[0])})-({''.join(sides[1])})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyState:
     """Mixed n-qubit state diagonal in the GHZ-like basis.
 
@@ -260,9 +263,11 @@ class FamilyState:
     lam0_plus: float
     lam0_minus: float
     lam: tuple[float, ...]
+    _lazy_indicators: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", tuple(self.lam))
+        object.__setattr__(self, "_lazy_indicators", None)
         want = _table_size(self.n, len(self.lam), "state")
         if len(self.lam) != want:
             raise ValueError(f"coefficient array has length {len(self.lam)}, expected {want}")
@@ -305,14 +310,17 @@ class FamilyState:
     def indicator_vector(self) -> tuple[int, ...]:
         return self._indicators
 
-    @cached_property
+    @property
     def _indicators(self) -> tuple[int, ...]:
-        """Label k is 1 exactly when lam[k - 1] < delta/2, computed once per instance.
+        """Label k is 1 exactly when lam[k - 1] < delta/2, computed on first read and kept.
 
         The comparison is strict: a coefficient on delta/2 is separable.
         """
-        half = 0.5 * self.delta
-        return tuple([1 if v < half else 0 for v in self.lam])
+        if self._lazy_indicators is None:
+            half = 0.5 * self.delta
+            object.__setattr__(self, "_lazy_indicators",
+                               tuple([1 if v < half else 0 for v in self.lam]))
+        return self._lazy_indicators
 
     def total_weight(self) -> float:
         return self.lam0_plus + self.lam0_minus + 2.0 * sum(self.lam)
@@ -435,19 +443,21 @@ def _holding_labels(group_masks: Sequence[int]) -> tuple[int, ...]:
     return tuple(h >> 1 for h in holds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grouping:
     """A set partition of the parties into cooperating groups.
 
     `groups` is kept in canonical order, by smallest member; `masks`
     holds the bitmask of each group in the same order.  `_holds`, the
     label masks every verdict on the grouping reads (`_holding_labels`),
-    is built on first use and kept, as `FamilyState._indicators` is.
+    is built on first read and kept in its own slot, as
+    `FamilyState._indicators` is.
     """
 
     n: int
     groups: tuple[frozenset[int], ...]
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _lazy_holds: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = _check_grouping_size(self.n)
@@ -468,10 +478,11 @@ class Grouping:
         self._set_masks(tuple(masks))
 
     def _set_masks(self, masks: tuple[int, ...]) -> None:
-        """Check the group masks, then store them and their party sets."""
+        """Check the group masks, then store them and their party sets; `_holds` waits."""
         _check_group_masks(self.n, masks)
         object.__setattr__(self, "groups", tuple(map(_group_parties, masks)))
         object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_lazy_holds", None)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Grouping":
@@ -503,10 +514,12 @@ class Grouping:
         groups.extend(frozenset({i}) for i in range(1, n + 1) if i not in taken)
         return cls(n, tuple(groups))
 
-    @cached_property
+    @property
     def _holds(self) -> tuple[int, ...]:
-        """The label mask of each group, `_holding_labels`, built once per instance."""
-        return _holding_labels(self.masks)
+        """The label mask of each group, `_holding_labels`, built on first read and kept."""
+        if self._lazy_holds is None:
+            object.__setattr__(self, "_lazy_holds", _holding_labels(self.masks))
+        return self._lazy_holds
 
     def group_of(self, party: int) -> frozenset[int]:
         bit = 1 << (_check_party(party, self.n) - 1)
@@ -527,7 +540,7 @@ def _build_labels(n: int, what: str) -> range:
     return range(1, 1 << (n - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Specification:
     """Target indicator value for every splitting label, as a 0/1 table."""
 
@@ -571,12 +584,14 @@ class Specification:
         if type(value) is not int:
             raise ValueError(f"specification value {value!r} is not an integer")
         # the sign first: a negative value is refused before the cap on n
-        if value < 0 or value >> len(_build_labels(n, "specification")):
+        if value < 0 or value >> (labels := len(_build_labels(n, "specification"))):
             raise ValueError(
                 f"specification value {_number_text(value)} outside [0, 2^{_largest_label(n)}) "
                 f"for n={_number_text(n)}"
             )
-        return cls.from_function(n, lambda m: value >> (m - 1) & 1)
+        # one binary digit per label, label 1 last, as `to_int` reads them
+        digits = format(value, f"0{labels}b")
+        return cls(n, tuple([1 if d == "1" else 0 for d in reversed(digits)]))
 
     def value(self, label: int) -> int:
         return self.bits[_check_label(label, self.n) - 1]
@@ -586,7 +601,8 @@ class Specification:
         return self.bits
 
     def to_int(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
+        """The integer whose bit m - 1 is the bit for label m, read from one binary string."""
+        return int("".join(["1" if b else "0" for b in reversed(self.bits)]), 2)
 
     def ones(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, b in enumerate(self.bits) if b)

@@ -219,7 +219,7 @@ def min_pt_eigenvalue(mat: np.ndarray, split: Splitting) -> float:
     return _deflated_mins(mat.diagonal(), rows[None], cols[None], values[off])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitCheck:
     """Dense verdict for one splitting next to the coefficient-level indicator."""
 
@@ -229,7 +229,7 @@ class SplitCheck:
     agree: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgreementReport:
     n: int
     tol: float

@@ -266,7 +266,7 @@ def permute_parties(state: FamilyState, order: Iterable[int]) -> FamilyState:
     return FamilyState(state.n, state.lam0_plus, state.lam0_minus, lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineStep:
     """One stage of a distillation run, with the state it produced.
 
@@ -296,7 +296,7 @@ class PipelineStep:
         return "".join(["1" if r < 1.0 else "0" for r in ratios])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineTrace:
     """Full record of one pipeline run."""
 

@@ -1,6 +1,7 @@
 """Core model: splittings, states, groupings, specifications."""
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -99,17 +100,19 @@ def test_splitting_sides_and_bits():
 
 
 def test_splitting_text_leaves_identity_unchanged():
-    for n in range(2, 7):
-        for mask in range(1, 1 << (n - 1)):
-            split = Splitting(n, mask)
-            before = (repr(split), hash(split))
-            side_b = [p for p in range(1, n) if mask >> (p - 1) & 1]
-            side_a = [p for p in range(1, n + 1) if p not in side_b]
-            text = "({})-({})".format(*("".join(f"A{p}" for p in side) for side in (side_a, side_b)))
-            assert str(split) == text
-            assert (repr(split), hash(split)) == before
-            assert split == Splitting(n, mask)
-            assert Splitting(n, mask) == split
+    # every label at n <= 8 and sampled ones at n = 20, against the text of the two side sets
+    rng = random.Random(8)
+    samples = [(n, mask) for n in range(2, 9) for mask in range(1, 1 << (n - 1))]
+    samples += [(20, rng.randrange(1, 1 << 19)) for _ in range(200)] + [(20, 1), (20, (1 << 19) - 1)]
+    for n, mask in samples:
+        split = Splitting(n, mask)
+        before = (repr(split), hash(split))
+        text = "({})-({})".format(
+            *("".join(f"A{p}" for p in sorted(side)) for side in (split.side_a, split.side_b)))
+        assert str(split) == text
+        assert (repr(split), hash(split)) == before
+        assert split == Splitting(n, mask)
+        assert Splitting(n, mask) == split
 
 
 def test_from_side_complements_when_anchor_included():
@@ -400,6 +403,18 @@ def test_specification_int_roundtrip(n, data):
     assert spec.to_int() == value
     assert Specification(n, spec.bits) == spec
     assert set(spec.ones()) == {m for m in range(1, labels + 1) if value >> (m - 1) & 1}
+
+
+def test_specification_int_matches_its_shift_definition():
+    rng = random.Random(16)
+    for n in range(2, 17):
+        labels = (1 << (n - 1)) - 1
+        for value in (0, (1 << labels) - 1, rng.getrandbits(labels), rng.getrandbits(labels)):
+            spec = Specification.from_int(n, value)
+            assert spec.bits == tuple(value >> (m - 1) & 1 for m in range(1, labels + 1))
+            assert spec.to_int() == sum(b << i for i, b in enumerate(spec.bits)) == value
+            bits = tuple(rng.getrandbits(1) for _ in range(labels))
+            assert Specification.from_int(n, Specification(n, bits).to_int()).bits == bits
 
 
 def test_specification_validation():

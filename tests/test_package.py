@@ -1,14 +1,21 @@
-"""The package's public surface: exported names, the README tour, the imports of the package, the oracle and the reference."""
+"""The package's public surface: exported names, the README tour, the imports of the package, the oracle, the reference and the value types."""
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
+import importlib
 import importlib.util
 import os
+import pickle
 import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+
+import pytest
 
 import entact
 from entact.cli import main
@@ -161,3 +168,78 @@ def test_every_source_parses_as_python_3_10():
     assert len(sources) >= 20
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def _value_samples() -> dict[str, object]:
+    """One instance of every value type of the package, by class name."""
+    from entact import (Grouping, Specification, Splitting, any_two_activation_requirement,
+                        distill_pipeline, grouping_report, random_family_state)
+    from entact.oracle import ppt_agreement_report
+
+    state = random_family_state(4, 3)
+    grouping = Grouping.from_sets(4, [[1], [2], [3, 4]])
+    report = grouping_report(state, grouping)
+    trace = distill_pipeline(state, grouping, {1}, {2})
+    agreement = ppt_agreement_report(state)
+    return {
+        "Splitting": Splitting(4, 5), "FamilyState": state, "Grouping": grouping,
+        "Specification": Specification.from_int(3, 5), "PairVerdict": report.pairs[0],
+        "GroupingReport": report, "Clauses": any_two_activation_requirement(),
+        "PipelineStep": trace.steps[-1], "PipelineTrace": trace,
+        "SplitCheck": agreement.checks[0], "AgreementReport": agreement,
+    }
+
+
+def _package_dataclasses() -> list[type]:
+    found = []
+    for name in ("model", "analysis", "protocols", "oracle", "construct", "cli"):
+        module = importlib.import_module(f"entact.{name}")
+        found += [value for value in vars(module).values() if isinstance(value, type)
+                  and dataclasses.is_dataclass(value) and value.__module__ == module.__name__]
+    return found
+
+
+def test_every_value_type_is_slotted_and_frozen():
+    samples = _value_samples()
+    assert sorted(cls.__name__ for cls in _package_dataclasses()) == sorted(samples)
+    for name, value in samples.items():
+        assert type(value).__name__ == name
+        assert not hasattr(value, "__dict__"), name
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        # a name that is no field has no slot either; on Python 3.10 to 3.13 the frozen
+        # __setattr__ of a slotted class refuses it with TypeError
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.comment = "kept"
+
+
+def test_every_value_type_round_trips_through_pickle_copy_and_replace():
+    for name, value in _value_samples().items():
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value), dataclasses.replace(value)):
+            assert twin is not value and type(twin) is type(value), name
+            assert twin == value and hash(twin) == hash(value), name
+            assert repr(twin) == repr(value), name
+
+
+def test_lazy_slots_are_built_once_and_stay_out_of_identity():
+    from entact import FamilyState, Grouping
+
+    read = Grouping.from_sets(5, [[1, 4], [2], [3, 5]])
+    unread = Grouping.from_masks(5, read.masks)
+    holds = read._holds
+    assert read._holds is holds
+    assert unread._lazy_holds is None and read._lazy_holds is holds
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert unread._holds == holds
+
+    state = FamilyState(3, 0.5, 0.1, (0.05, 0.2, 0.05))
+    other = FamilyState(3, 0.5, 0.1, (0.05, 0.2, 0.05))
+    indicators = state.indicator_vector()
+    assert state._indicators is indicators and state.indicator_vector() is indicators
+    assert other._lazy_indicators is None
+    assert state == other and hash(state) == hash(other) and repr(state) == repr(other)
+    assert other.indicator_vector() == indicators == (1, 0, 1)
